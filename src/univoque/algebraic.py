@@ -4,12 +4,26 @@ The polynomial need not be irreducible; the interval must contain exactly
 one distinct real root, certified by a Sturm count.  All decisions are
 exact: bisection midpoints are rationals and sign tests never touch
 floating point.
+
+The sign of an integer polynomial c at the root is decided in three
+stages, cheapest first.  An interval enclosure of c over the isolating
+interval decides it whenever the enclosure excludes 0.  Otherwise the
+interval is bisected by the sign of the square-free defining polynomial
+and the enclosure is tried again.  Once the interval is narrower than a
+width tied to the bit size of c and the enclosure still contains 0, one
+exact zero test (a gcd with the defining polynomial and a Sturm count)
+settles whether c vanishes at the root.  The tightest interval found for
+each root is kept in a bounded memo, so successive sign tests at one root
+share the bisection work; the memo never changes an AlgebraicReal.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 from . import polynomials as pl
 
@@ -35,7 +49,8 @@ def sturm_count(p: tuple, lo: Fraction, hi: Fraction) -> int:
         raise ValueError("zero polynomial has no isolated roots")
     if lo >= hi:
         raise ValueError("need lo < hi")
-    if pl.evaluate(p, lo) == 0 or pl.evaluate(p, hi) == 0:
+    if (pl.scaled_value(p, lo.numerator, lo.denominator) == 0
+            or pl.scaled_value(p, hi.numerator, hi.denominator) == 0):
         raise EndpointRootError(
             "interval endpoint is a root; perturb the endpoints")
     chain = pl.sturm_chain(p)
@@ -84,19 +99,37 @@ def from_rational(x) -> AlgebraicReal:
     return AlgebraicReal(p, x - Fraction(1, 2), x + Fraction(1, 2))
 
 
-def _bisect_once(a: AlgebraicReal) -> AlgebraicReal:
+class _Box(NamedTuple):
+    """An isolating interval (lo/den, hi/den) in integer form, with sf the
+    square-free part of the defining polynomial and s its sign at lo/den."""
+
+    sf: tuple
+    lo: int
+    hi: int
+    den: int
+    s: int
+
+
+def _box(a: AlgebraicReal) -> _Box:
+    sf = pl.squarefree_part(a.poly)
+    den = lcm(a.lo.denominator, a.hi.denominator)
+    lo = a.lo.numerator * (den // a.lo.denominator)
+    hi = a.hi.numerator * (den // a.hi.denominator)
+    return _Box(sf, lo, hi, den, _sign(pl.scaled_value(sf, lo, den)))
+
+
+def _bisect(box: _Box) -> _Box:
     """One bisection step.  The root of the squarefree part is simple, so it
     carries a sign change; the half without a sign change is discarded."""
-    sf = pl.squarefree_part(a.poly)
-    mid = (a.lo + a.hi) / 2
-    smid = _sign(pl.evaluate(sf, mid))
+    sf, lo, hi, den, s = box
+    mid = lo + hi
+    smid = _sign(pl.scaled_value(sf, mid, 2 * den))
     if smid == 0:
         # the midpoint IS the root; keep a thin interval around it
-        delta = (a.hi - a.lo) / 8
-        return AlgebraicReal(a.poly, mid - delta, mid + delta)
-    if _sign(pl.evaluate(sf, a.lo)) != smid:
-        return AlgebraicReal(a.poly, a.lo, mid)
-    return AlgebraicReal(a.poly, mid, a.hi)
+        return _Box(sf, 5 * lo + 3 * hi, 3 * lo + 5 * hi, 8 * den, s)
+    if s != smid:
+        return _Box(sf, 2 * lo, mid, 2 * den, s)
+    return _Box(sf, mid, 2 * hi, 2 * den, s)
 
 
 def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
@@ -104,48 +137,89 @@ def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
-    while a.hi - a.lo > eps:
-        a = _bisect_once(a)
-    return a
+    if a.hi - a.lo <= eps:
+        return a
+    box = _box(a)
+    while (box.hi - box.lo) * eps.denominator > eps.numerator * box.den:
+        box = _bisect(box)
+    return AlgebraicReal(a.poly, Fraction(box.lo, box.den),
+                         Fraction(box.hi, box.den))
+
+
+def _filter(c: tuple, lo: int, hi: int, den: int) -> int:
+    """Sign of c over all of [lo/den, hi/den] when an interval enclosure of
+    c there excludes 0; 0 when the enclosure is ambiguous.
+
+    For x >= 0 the positive and the negative coefficients of c each give a
+    nondecreasing part, c = c+ - c-, so c(x) lies between c+(lo) - c-(hi)
+    and c+(hi) - c-(lo).  Points left of 0 are mirrored by x -> -x, and an
+    interval around 0 is split there."""
+    if lo < 0:
+        mirrored = tuple(-x if i % 2 else x for i, x in enumerate(c))
+        if hi <= 0:
+            return _filter(mirrored, -hi, -lo, den)
+        s = _filter(c, 0, hi, den)
+        return s if s == _filter(mirrored, 0, -lo, den) else 0
+    pos = tuple(x if x > 0 else 0 for x in c)
+    neg = tuple(-x if x < 0 else 0 for x in c)
+    pos_lo = pl.scaled_value(pos, lo, den)
+    neg_lo = pl.scaled_value(neg, lo, den)
+    # the sign of c(lo) says which end of the enclosure can pass 0
+    if pos_lo > neg_lo and pos_lo > pl.scaled_value(neg, hi, den):
+        return 1
+    if pos_lo < neg_lo and pl.scaled_value(pos, hi, den) < neg_lo:
+        return -1
+    return 0
+
+
+# Margin, in bits, past the bit size of c before the zero test runs: a
+# nonzero value is nearly always decided by the enclosure before then.
+_ZERO_TEST_MARGIN = 32
+
+# The tightest interval found so far per root, least recently used first.
+_REFINED: OrderedDict = OrderedDict()
+_REFINED_MAX = 256
 
 
 def sign_at(c, a: AlgebraicReal) -> int:
     """Exact sign of the integer polynomial c at the root represented by a.
 
-    Zero is recognized via gcd(a.poly, c); otherwise the interval is
-    refined until c keeps a constant sign over it.
+    First an interval enclosure of c over the isolating interval decides
+    the sign whenever it excludes 0.  While it does not, the interval is
+    bisected and the enclosure tried again.  Once the interval is narrower
+    than 2^-(b + 32), b the bit size of the largest coefficient of c, and
+    the enclosure still contains 0, one exact zero test runs: a root of
+    gcd(a.poly, c) inside a's interval means c vanishes at the root.  If
+    it does not, bisection goes on until the enclosure excludes 0, which
+    it does once the interval is narrow enough.
+
+    Each call starts from the tightest interval found for an equal
+    AlgebraicReal and leaves its own tightest interval behind in a bounded
+    memo; a itself is never changed.
     """
     c = pl.poly(c)
     if pl.is_zero(c):
         return 0
     if pl.degree(c) == 0:
         return _sign(c[0])
-    g = pl.poly_gcd(a.poly, c)
-    if pl.degree(g) >= 1 and sturm_count(g, a.lo, a.hi) >= 1:
-        return 0
-    cur = a
-    while True:
-        vlo = pl.evaluate(c, cur.lo)
-        vhi = pl.evaluate(c, cur.hi)
-        if vlo != 0 and vhi != 0:
-            if sturm_count(c, cur.lo, cur.hi) == 0:
-                return _sign(vlo)
-            cur = _bisect_once(cur)
-            continue
-        # an endpoint landed on a root of c: nudge it inward by a quarter
-        # width, falling back to plain bisection if that loses the root
-        w = cur.hi - cur.lo
-        if vlo == 0:
-            cand = AlgebraicReal(cur.poly, cur.lo + w / 4, cur.hi)
-        else:
-            cand = AlgebraicReal(cur.poly, cur.lo, cur.hi - w / 4)
-        sf = pl.squarefree_part(cur.poly)
-        if (pl.evaluate(sf, cand.lo) != 0 and pl.evaluate(sf, cand.hi) != 0
-                and _sign(pl.evaluate(sf, cand.lo)) !=
-                _sign(pl.evaluate(sf, cand.hi))):
-            cur = cand
-        else:
-            cur = _bisect_once(cur)
+    box = _REFINED.pop(a, None) or _box(a)
+    zero_test_bits = max(abs(x) for x in c).bit_length() + _ZERO_TEST_MARGIN
+    tested = False
+    try:
+        while True:
+            s = _filter(c, box.lo, box.hi, box.den)
+            if s != 0:
+                return s
+            if not tested and (box.hi - box.lo) << zero_test_bits <= box.den:
+                tested = True
+                g = pl.poly_gcd(a.poly, c)
+                if pl.degree(g) >= 1 and sturm_count(g, a.lo, a.hi) >= 1:
+                    return 0
+            box = _bisect(box)
+    finally:
+        _REFINED[a] = box
+        if len(_REFINED) > _REFINED_MAX:
+            _REFINED.popitem(last=False)
 
 
 def sign_of_fraction_poly(coeffs, a: AlgebraicReal) -> int:
@@ -178,22 +252,23 @@ def floor_of(a: AlgebraicReal) -> tuple:
     """Integer part of a value >= 1, plus a flag for exact integrality."""
     if sign_at(pl.poly([-1, 1]), a) < 0:
         raise DomainError("floor_of requires a value >= 1")
-    cur = a
-    while cur.hi - cur.lo >= 1:
-        cur = _bisect_once(cur)
-    nlo = cur.lo.numerator // cur.lo.denominator
-    nhi = cur.hi.numerator // cur.hi.denominator
+    # bisect below width 1; the sign tests below reuse a's memo entry
+    box = _box(a)
+    while box.hi - box.lo >= box.den:
+        box = _bisect(box)
+    nlo = box.lo // box.den
+    nhi = box.hi // box.den
     if nlo == nhi:
         # the interval might still straddle-touch nhi exactly at an endpoint;
         # the only integer the root could equal is in [nlo, nlo+1)
         t = nlo
-        s = sign_at(pl.poly([-t, 1]), cur)
+        s = sign_at(pl.poly([-t, 1]), a)
         if s == 0:
             return t, True
         return t, False
     # exactly one integer candidate t = nhi lies inside (lo, hi)
     t = nhi
-    s = sign_at(pl.poly([-t, 1]), cur)
+    s = sign_at(pl.poly([-t, 1]), a)
     if s == 0:
         return t, True
     if s > 0:

@@ -170,12 +170,14 @@ def _expand_algebraic(a: AlgebraicReal, n: int, strict: bool):
             continue
         x = res.times_q()
         d = 0
-        while d <= cap:
+        while True:
             s = res.sign_minus(x, d + 1)
-            if (s > 0) or (not strict and s == 0):
-                d += 1
-            else:
+            if s < 0 or (strict and s == 0):
                 break
+            d += 1
+            if d > cap:
+                raise RuntimeError("digit exceeds the cap %d: the sign test "
+                                   "invariant is violated" % cap)
         digits.append(d)
         res.r = list(x)
         res.r[0] -= d

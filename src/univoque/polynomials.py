@@ -3,6 +3,8 @@
 Polynomials are tuples of arbitrary-precision integers, constant term
 first.  The zero polynomial is the empty tuple.  All arithmetic that
 leaves the integers goes through fractions.Fraction; no floating point.
+Sign tests at a rational point n/d stay in the integers: they use
+d^deg * p(n/d), which has the sign of p(n/d).
 """
 
 from __future__ import annotations
@@ -33,6 +35,22 @@ def evaluate(p: tuple, x):
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
+    return acc
+
+
+def scaled_value(p: tuple, n: int, d: int) -> int:
+    """d^k * p(n/d) as an exact integer, k = len(p) - 1 and d > 0.
+
+    It has the sign of p(n/d).  For polynomials of one length at points
+    over one denominator d, these values compare like the values of the
+    polynomials themselves.  Horner's rule on the homogenized form
+    sum p_i n^i d^(k-i) needs no Fraction and no gcd.
+    """
+    acc = 0
+    dk = 1
+    for c in reversed(p):
+        acc = acc * n + c * dk
+        dk *= d
     return acc
 
 
@@ -116,7 +134,12 @@ def poly_gcd(a: tuple, b: tuple) -> tuple:
     return g
 
 
-@lru_cache(maxsize=None)
+# Bounded: a long-lived process sees a new polynomial per base and per
+# zero test, and an unbounded cache would keep every one of them.
+_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def squarefree_part(p: tuple) -> tuple:
     """p divided by gcd(p, p'); shares exactly the distinct roots of p."""
     d = derivative(p)
@@ -142,7 +165,7 @@ def squarefree_part(p: tuple) -> tuple:
     return make_primitive(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def sturm_chain(p: tuple) -> tuple:
     """Sturm chain of the squarefree part of p, as primitive integer polys."""
     f = squarefree_part(p)
@@ -158,10 +181,12 @@ def sturm_chain(p: tuple) -> tuple:
 
 
 def sign_variations(chain, x) -> int:
+    """Sign changes of the chain at the rational x, zeros skipped."""
+    x = Fraction(x)
     prev = 0
     count = 0
     for p in chain:
-        v = evaluate(p, x)
+        v = scaled_value(p, x.numerator, x.denominator)
         s = (v > 0) - (v < 0)
         if s == 0:
             continue

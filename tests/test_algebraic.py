@@ -5,11 +5,15 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from univoque import algebraic
 from univoque.algebraic import (AlgebraicReal, DomainError, EndpointRootError,
                                 algebraic_real, floor_of, refine, sign_at,
                                 sturm_count)
+from univoque.expansions import solve_base
 from univoque import polynomials as pl
+from univoque.words import ep_sequence
 
 GOLDEN = (-1, -1, 1)        # q^2 - q - 1
 TRIB = (-1, -1, -1, 1)      # q^3 - q^2 - q - 1
@@ -69,6 +73,59 @@ def test_sign_at_detects_zero_through_shared_factor():
     c = (-5, -6, 4, 1)
     a = algebraic_real(GOLDEN, 1, 2)
     assert sign_at(c, a) == 0
+    # sqrt 2 as a double root of (q^2 - 2)^2
+    a = algebraic_real((4, 0, -4, 0, 1), 1, 2)
+    assert sign_at((-2, 0, 1), a) == 0
+    assert sign_at((-6, -2, 3, 1), a) == 0      # (q^2 - 2)(q + 3)
+    assert sign_at((5, 0, -4, 0, 1), a) == 1    # (q^2 - 2)^2 + 1
+    assert sign_at((-3, 2), a) == -1            # 2 sqrt 2 - 3
+
+
+def test_sign_at_rational_root_at_a_bisection_midpoint():
+    # (2q - 3)(q - 5): the root 3/2 is the midpoint of (1, 2)
+    a = algebraic_real((15, -13, 2), 1, 2)
+    assert sign_at((-3, 2), a) == 0
+    assert sign_at((-9, 0, 4), a) == 0          # (2q - 3)(2q + 3)
+    assert sign_at((-1, 1), a) == 1
+    assert sign_at((-7, 4), a) == -1
+
+
+def test_sign_at_roots_at_or_left_of_zero():
+    a = algebraic_real((-2, 0, 1), -2, -1)      # -sqrt 2
+    assert [sign_at(c, a) for c in ((1, 1), (3, 2), (-2, 0, 1), (0, 1))] \
+        == [-1, 1, 0, -1]
+    a = algebraic_real(GOLDEN, -1, F(1, 2))     # (1 - sqrt 5) / 2 = -0.618..
+    assert [sign_at(c, a) for c in ((1, 2), (3, 5), (2, 3), GOLDEN)] \
+        == [-1, -1, 1, 0]
+    a = algebraic_real((0, -1, 0, 1), F(-1, 2), F(1, 2))    # the root 0
+    assert [sign_at(c, a) for c in ((5, 1), (0, 3), (-1, 7), (0, 0, -1))] \
+        == [1, 0, -1, 0]
+
+
+def test_sign_at_near_miss_on_both_sides_of_golden_ratio(monkeypatch):
+    fib = [1, 1]
+    while len(fib) < 160:
+        fib.append(fib[-1] + fib[-2])
+    gcd_calls = []
+    real_gcd = pl.poly_gcd
+    monkeypatch.setattr(pl, "poly_gcd",
+                        lambda f, g: gcd_calls.append(g) or real_gcd(f, g))
+    for k, lo in ((150, F(1)), (151, F(3, 2))):
+        a = algebraic_real(GOLDEN, lo, 2)
+        n, d = fib[k + 1], fib[k]
+        # |phi - n/d| < 1/d^2 < 2^-200, and by Cassini's identity
+        # n^2 - n d - d^2 = +-1 says on which side of phi n/d lies
+        assert d.bit_length() > 100
+        side = n * n - n * d - d * d
+        assert abs(side) == 1
+        gcd_calls.clear()
+        assert sign_at((-n, d), a) == -side
+        assert len(gcd_calls) == 1
+        assert (a.lo, a.hi) == (lo, 2)
+        # a factor q - 5 shared with the base polynomial vanishes outside
+        # the interval, so the gcd it leaves is no zero at the root
+        b = algebraic_real(_mul(GOLDEN, (-5, 1)), lo, 2)
+        assert sign_at(_mul((-n, d), (-5, 1)), b) == side
 
 
 def test_sign_at_stable_under_refine():
@@ -147,3 +204,76 @@ def test_refined_intervals_always_isolate():
             a = AlgebraicReal(p, lo, hi)
             r = refine(a, F(1, 10 ** 6))
             assert sturm_count(r.poly, r.lo, r.hi) == 1
+
+
+def test_scaled_value_matches_fraction_horner():
+    rng = random.Random(11)
+    for _ in range(200):
+        p = tuple(rng.randint(-50, 50) for _ in range(rng.randint(1, 9)))
+        n, d = rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)
+        assert pl.scaled_value(p, n, d) == \
+            d ** (len(p) - 1) * pl.evaluate(p, F(n, d))
+
+
+def test_polynomial_caches_are_bounded():
+    for cached in (pl.squarefree_part, pl.sturm_chain):
+        assert cached.cache_info().maxsize is not None
+
+
+def _mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return pl.poly(out)
+
+
+def _root_300_digits(a):
+    """The root of a by Newton's method at 320 digits, from a 2^-40 start."""
+    sf = pl.squarefree_part(a.poly)
+    r = refine(a, F(1, 2 ** 40))
+    coeffs = list(reversed(sf))
+    dcoeffs = list(reversed(pl.derivative(sf)))
+    with mpmath.workdps(320):
+        x = mpmath.mpf((r.lo + r.hi).numerator) / (r.lo + r.hi).denominator / 2
+        for _ in range(8):
+            x -= mpmath.polyval(coeffs, x) / mpmath.polyval(dcoeffs, x)
+        return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=st.lists(st.integers(0, 3), min_size=1, max_size=6)
+       .filter(lambda w: sum(w) >= 2),
+       c=st.lists(st.integers(-30, 30), min_size=1, max_size=9),
+       through_base=st.booleans())
+def test_sign_at_matches_300_digit_numerics(w, c, through_base):
+    """Random c of degree <= 8 at the base of w 0^inf; with through_base the
+    defining polynomial is multiplied in, so c vanishes at the base."""
+    a = solve_base(ep_sequence(tuple(w), (0,)))
+    c = pl.poly(c)
+    if through_base and c:
+        c = _mul(c, pl.squarefree_part(a.poly))
+    root = _root_300_digits(a)
+    with mpmath.workdps(320):
+        v = mpmath.polyval(list(reversed(c)), root) if c else mpmath.mpf(0)
+        # a nonzero value of such a c at such a base is far above 10^-250
+        expected = 0 if abs(v) < mpmath.mpf(10) ** -250 else \
+            (1 if v > 0 else -1)
+    if through_base:
+        assert expected == 0
+    assert sign_at(c, a) == expected
+
+
+def test_sign_at_memo_keeps_bases_and_stays_bounded():
+    a = solve_base(ep_sequence((2, 1, 1), (0,)))
+    lo, hi = a.lo, a.hi
+    cs = [(-3, 1), (-1, -1, 1), (5, -2, -1, 1), (-28, 10, 1)]
+    first = [sign_at(c, a) for c in cs]
+    assert [sign_at(c, a) for c in cs] == first
+    assert (a.lo, a.hi) == (lo, hi)
+    algebraic._REFINED.clear()
+    assert [sign_at(c, AlgebraicReal(a.poly, lo, hi)) for c in cs] == first
+    for n in range(2, 2 + 10 * algebraic._REFINED_MAX):
+        b = AlgebraicReal((-n, 1), n - F(1, 2), n + F(1, 2))
+        assert sign_at((-1, 1), b) == 1
+        assert len(algebraic._REFINED) <= algebraic._REFINED_MAX

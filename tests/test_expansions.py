@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from univoque import expansions
 from univoque.algebraic import DomainError, refine, sign_at
 from univoque.characterization import check_greedy_admissible
 from univoque.expansions import (NoBaseError, greedy_expansion, kl_constant,
@@ -188,3 +189,10 @@ def test_kl_constant_enclosures():
     assert hi8 > F(178723165, 10 ** 8)
     # nesting across accuracies
     assert lo <= lo8 and hi8 <= hi
+
+
+def test_algebraic_expansion_refuses_a_digit_above_the_cap(monkeypatch):
+    base = solve_base(ep_sequence((1, 1), (0,)))
+    monkeypatch.setattr(expansions, "sign_of_fraction_poly", lambda c, a: 1)
+    with pytest.raises(RuntimeError, match="exceeds the cap"):
+        greedy_expansion(base, 5)
