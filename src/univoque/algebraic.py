@@ -1,20 +1,26 @@
 """Algebraic real numbers as (integer polynomial, isolating interval) pairs.
 
-The polynomial need not be irreducible; the interval must contain exactly
-one distinct real root, certified by a Sturm count.  All decisions are
-exact: bisection midpoints are rationals and sign tests never touch
-floating point.
+The polynomial need not be irreducible or square-free; the interval must
+contain exactly one distinct real root.  `algebraic_real` certifies that
+by a Sturm count; `expansions.solve_base` certifies it by monotonicity
+instead.  All decisions are exact: bisection midpoints are rationals and
+sign tests never touch floating point.
+
+Bisection keeps the half where the defining polynomial changes sign.
+When it already changes sign strictly over the isolating interval, the
+root has odd multiplicity and the polynomial itself is bisected; only a
+root of even multiplicity (no sign change) needs the square-free part.
 
 The sign of an integer polynomial c at the root is decided in three
 stages, cheapest first.  An interval enclosure of c over the isolating
 interval decides it whenever the enclosure excludes 0.  Otherwise the
-interval is bisected by the sign of the square-free defining polynomial
-and the enclosure is tried again.  Once the interval is narrower than a
-width tied to the bit size of c and the enclosure still contains 0, one
-exact zero test (a gcd with the defining polynomial and a Sturm count)
-settles whether c vanishes at the root.  The tightest interval found for
-each root is kept in a bounded memo, so successive sign tests at one root
-share the bisection work; the memo never changes an AlgebraicReal.
+interval is bisected as above and the enclosure is tried again.  Once the
+interval is narrower than a width tied to the bit size of c and the
+enclosure still contains 0, one exact zero test (a gcd with the defining
+polynomial and a Sturm count) settles whether c vanishes at the root.  The
+tightest interval found for each root is kept in a bounded memo, so
+successive sign tests at one root share the bisection work; the memo
+never changes an AlgebraicReal.
 """
 
 from __future__ import annotations
@@ -100,10 +106,10 @@ def from_rational(x) -> AlgebraicReal:
 
 
 class _Box(NamedTuple):
-    """An isolating interval (lo/den, hi/den) in integer form, with sf the
-    square-free part of the defining polynomial and s its sign at lo/den."""
+    """An isolating interval (lo/den, hi/den) in integer form, with f a
+    polynomial that changes sign at the root and s its sign at lo/den."""
 
-    sf: tuple
+    f: tuple
     lo: int
     hi: int
     den: int
@@ -111,25 +117,36 @@ class _Box(NamedTuple):
 
 
 def _box(a: AlgebraicReal) -> _Box:
-    sf = pl.squarefree_part(a.poly)
+    """a's interval in integer form, bisected by a.poly itself when it
+    changes sign strictly over the interval.
+
+    With one distinct root r inside, a.poly = (x - r)^k g with g of one
+    sign on the closed interval, so a strict sign change means k is odd:
+    a.poly then has the sign of (x - r) times a constant, like its
+    square-free part, and keeps the same halves.  No sign change (k even,
+    or a root at an endpoint) falls back to the square-free part."""
     den = lcm(a.lo.denominator, a.hi.denominator)
     lo = a.lo.numerator * (den // a.lo.denominator)
     hi = a.hi.numerator * (den // a.hi.denominator)
-    return _Box(sf, lo, hi, den, _sign(pl.scaled_value(sf, lo, den)))
+    s = _sign(pl.scaled_value(a.poly, lo, den))
+    if s * _sign(pl.scaled_value(a.poly, hi, den)) < 0:
+        return _Box(a.poly, lo, hi, den, s)
+    f = pl.squarefree_part(a.poly)
+    return _Box(f, lo, hi, den, _sign(pl.scaled_value(f, lo, den)))
 
 
 def _bisect(box: _Box) -> _Box:
-    """One bisection step.  The root of the squarefree part is simple, so it
-    carries a sign change; the half without a sign change is discarded."""
-    sf, lo, hi, den, s = box
+    """One bisection step.  The root is a sign change of f, so the half
+    without a sign change is discarded."""
+    f, lo, hi, den, s = box
     mid = lo + hi
-    smid = _sign(pl.scaled_value(sf, mid, 2 * den))
+    smid = _sign(pl.scaled_value(f, mid, 2 * den))
     if smid == 0:
         # the midpoint IS the root; keep a thin interval around it
-        return _Box(sf, 5 * lo + 3 * hi, 3 * lo + 5 * hi, 8 * den, s)
+        return _Box(f, 5 * lo + 3 * hi, 3 * lo + 5 * hi, 8 * den, s)
     if s != smid:
-        return _Box(sf, 2 * lo, mid, 2 * den, s)
-    return _Box(sf, mid, 2 * hi, 2 * den, s)
+        return _Box(f, 2 * lo, mid, 2 * den, s)
+    return _Box(f, mid, 2 * hi, 2 * den, s)
 
 
 def refine(a: AlgebraicReal, eps) -> AlgebraicReal:

@@ -109,7 +109,10 @@ def construct_gamma(alpha, N: int, m: int | None = None):
     gamma = ep_sequence(alpha_c * N, alpha_m + complement_word(alpha_m, b))
     # the construction leaves the first m + kN digits of the target intact
     for i in range(1, m + k * N + 1):
-        assert gamma.digit(i) == s.digit(i)
+        if gamma.digit(i) != s.digit(i):
+            raise RuntimeError(
+                "internal error: gamma differs from the target at digit "
+                "%d of the first m + kN = %d" % (i, m + k * N))
     return gamma, k, m
 
 

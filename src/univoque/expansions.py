@@ -71,7 +71,16 @@ def poly_from_sequence(s: EPSequence) -> tuple:
 
 
 def solve_base(s: EPSequence) -> AlgebraicReal:
-    """The unique q > 1 with value(s, q) = 1, as a certified algebraic real."""
+    """The unique q > 1 with value(s, q) = 1, as a certified algebraic real.
+
+    The bracket 1 < lo < hi has value(s, lo) > 1 > value(s, hi).  For
+    q > 1 the defining polynomial is P(q) = q^p (q^r - 1) (1 - value(s, q))
+    with q^p (q^r - 1) > 0, and value(s, .) has the derivative
+    -sum_i i s_i q^(-i-1) < 0.  So P(lo) < 0 < P(hi) certifies that P has
+    exactly one root in (lo, hi) and that the root is simple: no Sturm
+    count and no square-free part are needed.  Those two signs are checked
+    on P itself, in integers, so a P that disagrees with value raises.
+    """
     if s.digit_sum < 2:
         raise NoBaseError("digit sum < 2: no base q > 1 exists")
     p = poly_from_sequence(s)
@@ -93,9 +102,12 @@ def solve_base(s: EPSequence) -> AlgebraicReal:
         t += 1
         if t > 64 and lo is None:
             raise NoBaseError("no bracket found left of the root")
-    a = AlgebraicReal(p, lo, hi)
-    a.validate()
-    return refine(a, Fraction(1, 2))
+    if not (pl.scaled_value(p, lo.numerator, lo.denominator) < 0
+            < pl.scaled_value(p, hi.numerator, hi.denominator)):
+        raise RuntimeError("internal error: the defining polynomial does "
+                           "not change sign from - to + over (%s, %s)"
+                           % (lo, hi))
+    return refine(AlgebraicReal(p, lo, hi), Fraction(1, 2))
 
 
 # --- expansion digit machinery ---------------------------------------------
@@ -186,8 +198,14 @@ def _expand_algebraic(a: AlgebraicReal, n: int, strict: bool):
     return digits
 
 
+def _check_depth(n: int) -> None:
+    if n < 0:
+        raise DomainError("depth must be >= 0, got %d" % n)
+
+
 def greedy_expansion(q, n: int) -> ExpansionPrefix:
     """First n digits of the greedy expansion of 1 in base q >= 1."""
+    _check_depth(n)
     base = coerce_base(q)
     if isinstance(base, Fraction):
         if base < 1:
@@ -202,6 +220,7 @@ def greedy_expansion(q, n: int) -> ExpansionPrefix:
 
 def quasi_greedy_expansion(q, n: int) -> ExpansionPrefix:
     """First n digits of the quasi-greedy expansion of 1; needs q > 1."""
+    _check_depth(n)
     base = coerce_base(q)
     if isinstance(base, Fraction):
         if base <= 1:
@@ -268,19 +287,25 @@ def kl_constant(eps, max_iter: int = 10_000) -> tuple:
     """Rational enclosure of the smallest univoque base (~1.787).
 
     Bisection of q -> sum tau_i q^{-i} with rigorous tail bounds.  Returns
-    (lo, hi, prefix_length_used) with hi - lo <= eps.
+    (lo, hi, prefix_length_used) with hi - lo <= eps.  The bracket starts
+    at width 1/2 and halves each step, so eps fixes the step count; when it
+    exceeds max_iter, DomainError is raised before any work.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
+    # fewest steps n with 2^-(n+1) <= eps; the first guess is at most 3 short
+    num, den = eps.numerator, eps.denominator
+    steps = max(0, den.bit_length() - num.bit_length() - 2)
+    while den > num << (steps + 1):
+        steps += 1
+    if steps > max_iter:
+        raise DomainError("eps needs %d bisection steps, above max_iter = %d"
+                          % (steps, max_iter))
     lo, hi = Fraction(3, 2), Fraction(2)
     tau = list(thue_morse_prefix(32))
     state = {"max_prefix": len(tau)}
-    it = 0
-    while hi - lo > eps:
-        it += 1
-        if it > max_iter:
-            raise RuntimeError("iteration cap exceeded")
+    for _ in range(steps):
         mid = (lo + hi) / 2
         if _kl_side(mid, tau, state) > 0:
             lo = mid

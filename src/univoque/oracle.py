@@ -123,6 +123,8 @@ def enumerate_expansions(base, depth: int, level_cap: int = 100_000,
                          counts_only: bool = False,
                          strict_positive: bool = False) -> PrefixTree:
     """All viable digit prefixes of expansions of 1, level by level."""
+    if depth < 0:
+        raise DomainError("depth must be >= 0, got %d" % depth)
     ad = _adapter(base)
     frontier = [((), ad.root())]
     levels, counts = [], []

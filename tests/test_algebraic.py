@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from univoque import algebraic
 from univoque.algebraic import (AlgebraicReal, DomainError, EndpointRootError,
@@ -277,3 +277,67 @@ def test_sign_at_memo_keeps_bases_and_stays_bounded():
         b = AlgebraicReal((-n, 1), n - F(1, 2), n + F(1, 2))
         assert sign_at((-1, 1), b) == 1
         assert len(algebraic._REFINED) <= algebraic._REFINED_MAX
+
+
+@settings(max_examples=60, deadline=None)
+@given(pre=st.lists(st.integers(0, 3), max_size=6),
+       per=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+def test_solve_base_interval_passes_the_sturm_cross_check(pre, per):
+    """solve_base certifies its root by monotonicity; a Sturm count on its
+    interval must agree, and bisecting P itself must give the intervals
+    that bisecting its square-free part gives."""
+    s = ep_sequence(tuple(pre), tuple(per))
+    assume(s.digit_sum >= 2)
+    a = solve_base(s)
+    assert sturm_count(a.poly, a.lo, a.hi) == 1
+    sf = AlgebraicReal(pl.squarefree_part(a.poly), a.lo, a.hi)
+    eps = F(1, 2 ** 200)
+    assert refine(a, eps).interval == refine(sf, eps).interval
+
+
+def _pell_near_misses(k):
+    """n/d within 1/d^2 of sqrt 2, n^2 - 2 d^2 = +-1 saying on which side."""
+    n, d = 1, 1
+    for _ in range(k):
+        n, d = n + 2 * d, n + d
+    return n, d, n * n - 2 * d * d
+
+
+@pytest.mark.parametrize("power", [1, 3, 5])
+def test_odd_multiplicity_base_bisects_its_own_polynomial(power, monkeypatch):
+    """(q^2 - 2)^power changes sign at sqrt 2 for odd powers, so refine,
+    sign_at and floor_of bisect it directly and match q^2 - 2."""
+    p = (1,)
+    for _ in range(power):
+        p = _mul(p, (-2, 0, 1))
+    a, b = AlgebraicReal(p, 1, 2), AlgebraicReal((-2, 0, 1), 1, 2)
+    sf_args = []
+    real_sf = pl.squarefree_part
+    monkeypatch.setattr(pl, "squarefree_part",
+                        lambda f: sf_args.append(f) or real_sf(f))
+    for eps in (F(1, 3), F(1, 1000), F(1, 2 ** 200)):
+        assert refine(a, eps).interval == refine(b, eps).interval
+    assert floor_of(a) == floor_of(b) == (1, False)
+    assert sf_args == []
+    algebraic._REFINED.clear()
+    n, d, side = _pell_near_misses(90)
+    assert d.bit_length() > 100
+    cs = [(-1, 1), (-3, 2), (-7, 5), (-17, 12), (-n, d), (-2, 0, 1),
+          (-6, -2, 3, 1), (2, 0, -1)]
+    signs = [sign_at(c, a) for c in cs]
+    assert signs == [sign_at(c, b) for c in cs]
+    assert signs[:5] == [1, -1, 1, -1, -side]
+    assert signs[5:] == [0, 0, 0]
+
+
+def test_even_multiplicity_base_falls_back_to_the_squarefree_part(
+        monkeypatch):
+    sf_args = []
+    real_sf = pl.squarefree_part
+    monkeypatch.setattr(pl, "squarefree_part",
+                        lambda f: sf_args.append(f) or real_sf(f))
+    a = AlgebraicReal((4, 0, -4, 0, 1), 1, 2)           # (q^2 - 2)^2
+    b = AlgebraicReal((-2, 0, 1), 1, 2)
+    assert refine(a, F(1, 2 ** 64)).interval == \
+        refine(b, F(1, 2 ** 64)).interval
+    assert sf_args == [a.poly]

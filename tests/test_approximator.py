@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from univoque import approximator
 from univoque.algebraic import refine
 from univoque.approximator import (NTooSmallError, NotInClosureError,
                                    approximate, construct_gamma)
@@ -21,6 +22,21 @@ def test_construct_gamma_tribonacci_target():
     target = ep_sequence((), (1, 1, 0))
     assert gamma.prefix(10) == target.prefix(10)   # m + kN = 10
     assert gamma.digit(11) == 0 < target.digit(11)
+
+
+def test_construct_gamma_invariant_raises_when_broken(monkeypatch):
+    """The prefix invariant is an explicit check, kept under python -O."""
+    real = approximator.ep_sequence
+
+    def corrupted(pre, per):
+        # flip the last digit of the repeated blocks of gamma
+        if pre:
+            pre = tuple(pre[:-1]) + (1 - pre[-1],)
+        return real(pre, per)
+
+    monkeypatch.setattr(approximator, "ep_sequence", corrupted)
+    with pytest.raises(RuntimeError, match="digit 6 of the first m \\+ kN"):
+        construct_gamma((1, 1, 0), 2)
 
 
 def test_construct_gamma_n_too_small():

@@ -1,6 +1,7 @@
 """Command-line surface: grammars, exit codes, deterministic output."""
 
 import json
+import time
 
 from click.testing import CliRunner
 
@@ -103,6 +104,25 @@ def test_kl_enclosure():
     lo, hi = payload["decimal"]
     assert lo < 1.7872316501 < hi and hi - lo <= 1e-3 + 1e-12
     assert round(lo, 2) == round(hi, 2) == 1.79
+
+
+def test_negative_depth_is_a_usage_error():
+    for depth, args in (("-3", ("expand", "3/2")),
+                        ("-1", ("expand", "seq:(110)", "--mode", "quasi")),
+                        ("-2", ("oracle", "3/2", "--counts"))):
+        r = run(*args, "--depth", depth, "--json")
+        assert r.exit_code == 2
+        assert r.output.strip().splitlines() == \
+            ["error: depth must be >= 0, got %s" % depth]
+
+
+def test_kl_eps_beyond_the_iteration_cap_fails_at_once():
+    t = time.perf_counter()
+    r = run("kl", "--eps", "1e-4000", "--json")
+    assert time.perf_counter() - t < 1
+    assert r.exit_code == 2
+    assert r.output.strip().splitlines() == \
+        ["error: eps needs 13287 bisection steps, above max_iter = 10000"]
 
 
 def test_oracle_not_unique_and_unique():

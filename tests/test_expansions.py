@@ -191,6 +191,31 @@ def test_kl_constant_enclosures():
     assert lo <= lo8 and hi8 <= hi
 
 
+def test_kl_constant_counts_its_bisection_steps_up_front():
+    assert kl_constant(F(1, 2)) == (F(3, 2), F(2), 32)
+    lo, hi, _ = kl_constant(F(1, 2 ** 11), max_iter=10)
+    assert hi - lo == F(1, 2 ** 11)
+    with pytest.raises(DomainError, match="11 bisection steps.*max_iter = 10"):
+        kl_constant(F(1, 2 ** 11) - F(1, 10 ** 9), max_iter=10)
+
+
+def test_expansions_refuse_a_negative_depth():
+    for fn in (greedy_expansion, quasi_greedy_expansion):
+        assert fn(S110, 0).digits == ()
+        with pytest.raises(DomainError, match="depth must be >= 0"):
+            fn(S110, -1)
+
+
+def test_solve_base_refuses_a_polynomial_without_its_sign_change(
+        monkeypatch):
+    s = ep_sequence((2, 1), (0,))
+    p = poly_from_sequence(s)
+    monkeypatch.setattr(expansions, "poly_from_sequence",
+                        lambda s: tuple(-c for c in p))
+    with pytest.raises(RuntimeError, match="does not change sign"):
+        solve_base(s)
+
+
 def test_algebraic_expansion_refuses_a_digit_above_the_cap(monkeypatch):
     base = solve_base(ep_sequence((1, 1), (0,)))
     monkeypatch.setattr(expansions, "sign_of_fraction_poly", lambda c, a: 1)

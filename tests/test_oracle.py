@@ -46,6 +46,14 @@ def test_enumerate_rejects_base_at_most_one():
         enumerate_expansions(F(1), 3)
 
 
+def test_enumerate_rejects_a_negative_depth():
+    assert enumerate_expansions(F(3, 2), 0).counts == ()
+    with pytest.raises(DomainError, match="depth must be >= 0"):
+        enumerate_expansions(F(3, 2), -2, counts_only=True)
+    with pytest.raises(DomainError, match="depth must be >= 0"):
+        certify_unique_prefix(F(3, 2), -2)
+
+
 def test_certify_unique_prefix_examples():
     assert not certify_unique_prefix(solve_base(S110), 6)
     assert not certify_unique_prefix(F(2), 3)
