@@ -13,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .words import (EPSequence, LT, EQ, GT, complement, complement_word,
-                    lex_compare, lex_compare_word, shift, format_sequence)
+                    lex_compare_word, shift, format_sequence)
 
 # stable numeric codes for the shift conditions, reported in witnesses
 SHIFT_STRICT = 21          # shifted tail <  sequence   (greedy / univoque)
 COMPL_STRICT_GREEDY = 22   # complemented tail < sequence (univoque)
 SHIFT_WEAK = 23            # shifted tail <= sequence   (closure)
 COMPL_STRICT_QUASI = 24    # complemented tail < sequence (closure)
-BLOCK_COMPL = 25           # finite-block form used by the m-search
-DOUBLING_BLOCK = 26        # complement of prefix < following block
 
 
 class SearchCapExceeded(RuntimeError):
@@ -66,66 +64,99 @@ def _rel(cmp: int) -> str:
     return {LT: "<", EQ: "=", GT: ">"}[cmp]
 
 
-def classify(s: EPSequence) -> UnivoqueCertificate:
-    """Evaluate all four shift conditions on the distinct shifts of s."""
+def _order(a: tuple, b: tuple) -> int:
+    return (a > b) - (a < b)
+
+
+def _window(s: EPSequence):
+    """(w, n): n = p + r distinct shifts and the first 2n digits of s."""
+    n = len(s.preperiod) + len(s.period)
+    return s.prefix(2 * n), n
+
+
+def _witnesses(s: EPSequence, failures: list) -> tuple:
+    """Witnesses for the (condition, j, order) failures, in order.  Each
+    shifted (or complemented) sequence is built and formatted once."""
     b = s.digit(1)
-    n_shifts = len(s.preperiod) + len(s.period)
+    right = format_sequence(s)
+    lefts = {}
+    out = []
+    for cond, j, c in failures:
+        key = (j, cond in (COMPL_STRICT_GREEDY, COMPL_STRICT_QUASI))
+        if key not in lefts:
+            t = shift(s, j)
+            lefts[key] = format_sequence(complement(t, b) if key[1] else t)
+        out.append(ConditionWitness(cond, j, lefts[key], right, _rel(c)))
+    return tuple(out)
+
+
+def classify(s: EPSequence) -> UnivoqueCertificate:
+    """Evaluate all four shift conditions on the distinct shifts of s.
+
+    With p and r the preperiod and period lengths of the canonical form
+    (so the period is primitive), the distinct shifts are sigma^j(s) for
+    1 <= j <= n = p + r.  Each of them, its complement and s itself have
+    a preperiod of length <= p and a period of length r.  Two such
+    sequences that agree on their first p + r digits agree from digit p + 1
+    on over a whole period, hence everywhere, so their first difference
+    (if any) falls within p + r digits: the bound `lex_compare` uses.  So
+    with w the first 2n digits of s, sigma^j(s) compares with s as the
+    word w[j:j+n] compares with w[:n], and its complement as the
+    complemented slice does.  Those are tuple comparisons; the shifted
+    sequences are built only for the witnesses, at most four.
+    """
+    b = s.digit(1)
     if s.max_digit > b:
         w = ConditionWitness(COMPL_STRICT_GREEDY, 0, format_sequence(s),
                              str(b), "digit exceeds first digit")
         return UnivoqueCertificate("inadmissible", (w,), 0)
 
-    witnesses = []
-    ok21 = ok22 = ok23 = ok24 = True
-    for j in range(1, n_shifts + 1):
-        t = shift(s, j)
-        c_shift = lex_compare(t, s)
-        if c_shift != LT and ok21:
-            ok21 = False
-            witnesses.append(ConditionWitness(
-                SHIFT_STRICT, j, format_sequence(t), format_sequence(s),
-                _rel(c_shift)))
-        if c_shift == GT and ok23:
-            ok23 = False
-            witnesses.append(ConditionWitness(
-                SHIFT_WEAK, j, format_sequence(t), format_sequence(s),
-                _rel(c_shift)))
-        ct = complement(t, b)
-        c_compl = lex_compare(ct, s)
-        if c_compl != LT:
-            if ok22:
-                ok22 = False
-                witnesses.append(ConditionWitness(
-                    COMPL_STRICT_GREEDY, j, format_sequence(ct),
-                    format_sequence(s), _rel(c_compl)))
-            if ok24:
-                ok24 = False
-                witnesses.append(ConditionWitness(
-                    COMPL_STRICT_QUASI, j, format_sequence(ct),
-                    format_sequence(s), _rel(c_compl)))
+    w, n = _window(s)
+    cw = complement_word(w, b)
+    head = w[:n]
+    failures = []
+    # 22 and 24 are the same strict bound on complements: one flag
+    ok21 = ok23 = ok_compl = True
+    # b is the largest digit, so a shift (complement) can reach s only
+    # when its first digit w[j] is b (0); no slice is built otherwise
+    for j in range(1, n + 1):
+        if w[j] == b and w[j:j + n] >= head:
+            c = _order(w[j:j + n], head)
+            if ok21:
+                ok21 = False
+                failures.append((SHIFT_STRICT, j, c))
+            if c == GT and ok23:
+                ok23 = False
+                failures.append((SHIFT_WEAK, j, c))
+        if ok_compl and w[j] == 0 and cw[j:j + n] >= head:
+            ok_compl = False
+            c = _order(cw[j:j + n], head)
+            failures.append((COMPL_STRICT_GREEDY, j, c))
+            failures.append((COMPL_STRICT_QUASI, j, c))
+        if not (ok21 or ok23 or ok_compl):
+            break
 
-    if ok21 and ok22:
+    if ok21 and ok_compl:
         verdict = "univoque"
-    elif ok23 and ok24:
+    elif ok23 and ok_compl:
         verdict = "closure_only"
     else:
         verdict = "inadmissible"
-    return UnivoqueCertificate(verdict, tuple(witnesses), n_shifts)
+    return UnivoqueCertificate(verdict, _witnesses(s, failures), n)
 
 
 def check_greedy_admissible(s: EPSequence):
     """Is s the greedy expansion of 1 for some base (Parry's condition)?
 
     Returns (bool, witness-or-None); the witness records the smallest
-    failing shift index."""
-    n_shifts = len(s.preperiod) + len(s.period)
-    for j in range(1, n_shifts + 1):
-        t = shift(s, j)
-        c = lex_compare(t, s)
-        if c != LT:
-            return False, ConditionWitness(SHIFT_STRICT, j,
-                                           format_sequence(t),
-                                           format_sequence(s), _rel(c))
+    failing shift index.  Shifts are compared on one digit window, as in
+    `classify`."""
+    w, n = _window(s)
+    head = w[:n]
+    for j in range(1, n + 1):
+        if w[j] >= w[0] and w[j:j + n] >= head:
+            c = _order(w[j:j + n], head)
+            return False, _witnesses(s, [(SHIFT_STRICT, j, c)])[0]
     return True, None
 
 
@@ -142,14 +173,14 @@ def check_closure(s: EPSequence) -> UnivoqueCertificate:
 
 def check_quasi_greedy_admissible(s: EPSequence) -> bool:
     """Is s the quasi-greedy expansion of 1 for some q > 1?  Requires
-    infinitely many nonzero digits plus the non-strict shift condition."""
+    infinitely many nonzero digits plus the non-strict shift condition,
+    checked on one digit window as in `classify`."""
     if s.is_finite():
         return False
-    n_shifts = len(s.preperiod) + len(s.period)
-    for j in range(1, n_shifts + 1):
-        if lex_compare(shift(s, j), s) == GT:
-            return False
-    return True
+    w, n = _window(s)
+    head = w[:n]
+    return not any(w[j] >= w[0] and w[j:j + n] > head
+                   for j in range(1, n + 1))
 
 
 def find_m(s: EPSequence, k: int, cap: int | None = None) -> int:

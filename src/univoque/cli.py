@@ -170,18 +170,21 @@ def approximate(alpha, n_from, n_to, as_json):
         alpha_w = parse_word(alpha)
     except ParseError as exc:
         _fail(str(exc), 2)
-    try:
-        if n_from is None:
+    if n_from is None:
+        try:
             s, k, _ = approximator._target_sequence(alpha_w)
             m = characterization.find_m(s, k)
-            n_from = -(-m // k)
-        if n_to is None:
-            n_to = n_from
+        except ValueError as exc:       # the target is outside the closure
+            _fail(str(exc), 1)
+        n_from = -(-m // k)
+    if n_to is None:
+        n_to = n_from
+    try:
         records = approximator.approximate(alpha_w, n_from, n_to)
-    except approximator.NTooSmallError as exc:
-        _fail(str(exc), 2)
-    except (approximator.NotInClosureError, ValueError) as exc:
+    except approximator.NotInClosureError as exc:
         _fail(str(exc), 1)
+    except ValueError as exc:           # N below the minimum, empty N range
+        _fail(str(exc), 2)
     payload = {"command": "approximate", "alpha": alpha,
                "from": n_from, "to": n_to,
                "records": [r.as_dict() for r in records]}
@@ -212,6 +215,9 @@ def kl(eps, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def oracle_cmd(base, depth, counts, as_json):
     """Enumerate all viable expansion prefixes of 1 (brute force)."""
+    if depth < 1:
+        # zero levels would certify uniqueness vacuously
+        _fail("depth must be >= 1, got %d" % depth, 2)
     try:
         b = parse_base(base)
         cap = _max_work(100_000)

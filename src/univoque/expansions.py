@@ -266,21 +266,96 @@ def thue_morse_prefix(n: int) -> tuple:
     return tuple(t[:n])
 
 
-def _kl_side(q: Fraction, tau: list, state: dict) -> int:
+# extra bits of the fixed-point filter beyond bits(d), which resolves a
+# bisection midpoint, and bits(L), which absorbs the error of the tail
+# power: that error grows about linearly in L
+_KL_GUARD = 24
+
+
+def _fixed_mul(a: int, b: int, prec: int, up: bool) -> int:
+    """a * b / 2^prec rounded up or down, for a, b >= 0."""
+    return -(-(a * b) >> prec) if up else (a * b) >> prec
+
+
+def _fixed_pow(x: int, e: int, prec: int, up: bool) -> int:
+    """x^e in fixed point (scale 2^prec) by squaring, every product rounded
+    the same way, so the result is a lower (upper) bound when x is."""
+    r = 1 << prec
+    while e:
+        if e & 1:
+            r = _fixed_mul(r, x, prec, up)
+        x = _fixed_mul(x, x, prec, up)
+        e >>= 1
+    return r
+
+
+def _kl_enclosure(tau: list, n: int, d: int, prec: int) -> tuple:
+    """(s_lo, s_hi, t_lo, t_hi) with s_lo <= 2^prec S <= s_hi and
+    t_lo <= 2^prec T <= t_hi, where S = sum_{i<=L} tau_i q^-i and
+    T = q^-L / (q - 1) at q = n/d > 1, L = len(tau).
+
+    With x = 1/q = d/n, floor and ceil Horner in fixed point (scale
+    2^prec) from floor(x 2^prec) and ceil(x 2^prec) enclose S; binary
+    powering with the same rounding encloses x^L, and T = x^L d / (n - d).
+    Every quantity is >= 0, so rounding each product down (up) keeps a
+    lower (upper) bound.  Each Horner step widens the S enclosure by
+    about q/(q - 1) + 2 units and x < 1 damps what came before, so at a
+    precision well above bits(d) it stays within about
+    (q/(q - 1) + 2) q/(q - 1) units: 15 for q >= 3/2.
+    """
+    one = 1 << prec
+    x_lo = (d << prec) // n
+    x_hi = -(-(d << prec) // n)
+    s_lo = s_hi = 0
+    for t in reversed(tau):
+        s_lo = ((s_lo + t * one) * x_lo) >> prec
+        s_hi = -(-((s_hi + t * one) * x_hi) >> prec)
+    L = len(tau)
+    t_lo = _fixed_pow(x_lo, L, prec, False) * d // (n - d)
+    t_hi = -(-_fixed_pow(x_hi, L, prec, True) * d // (n - d))
+    return s_lo, s_hi, t_lo, t_hi
+
+
+def _kl_side(q: Fraction, tau: list) -> int:
     """+1 when the Thue-Morse value at q exceeds 1, -1 when it falls short.
-    The prefix length grows until the geometric tail bound is decisive."""
+
+    The rule, on the prefix of L terms with S = sum_{i<=L} tau_i q^-i and
+    the tail bound T = q^-L / (q - 1) >= sum_{i>L} tau_i q^-i: +1 when
+    S > 1, -1 when S + T < 1, else the prefix doubles and the rule runs
+    again.  It is decided in integers, with q = n/d:
+
+    - filter: `_kl_enclosure` at prec = bits(d) + bits(L) + _KL_GUARD
+      decides each comparison it can;
+    - fallback, for the one comparison the enclosure leaves open: n^L S is
+      the integer d * scaled_value(reversed tau, n, d), so S > 1 iff it
+      exceeds n^L, and S + T < 1 iff (n - d) n^L S + d^(L+1) is below
+      (n - d) n^L.
+
+    Both paths decide the same rule, so the result and the final prefix
+    length do not depend on the filter.  tau is extended in place.
+    """
+    n, d = q.numerator, q.denominator
     while True:
-        n = len(tau)
-        x = 1 / q
-        s = Fraction(0)
-        for d in reversed(tau):
-            s = (s + d) * x
-        if s > 1:
+        L = len(tau)
+        prec = d.bit_length() + L.bit_length() + _KL_GUARD
+        one = 1 << prec
+        s_lo, s_hi, t_lo, t_hi = _kl_enclosure(tau, n, d, prec)
+        if s_lo > one:
             return 1
-        if s + x ** n / (q - 1) < 1:
+        # n^L S, computed only for a comparison the filter leaves open
+        exact = None
+        if s_hi > one:
+            exact = d * pl.scaled_value(tuple(reversed(tau)), n, d)
+            if exact > n ** L:
+                return 1
+        if s_hi + t_hi < one:
             return -1
-        tau.extend(thue_morse_prefix(2 * n)[n:])
-        state["max_prefix"] = max(state["max_prefix"], len(tau))
+        if s_lo + t_lo < one:
+            if exact is None:
+                exact = d * pl.scaled_value(tuple(reversed(tau)), n, d)
+            if (n - d) * exact + d ** (L + 1) < (n - d) * n ** L:
+                return -1
+        tau.extend(thue_morse_prefix(2 * L)[L:])
 
 
 def kl_constant(eps, max_iter: int = 10_000) -> tuple:
@@ -289,7 +364,11 @@ def kl_constant(eps, max_iter: int = 10_000) -> tuple:
     Bisection of q -> sum tau_i q^{-i} with rigorous tail bounds.  Returns
     (lo, hi, prefix_length_used) with hi - lo <= eps.  The bracket starts
     at width 1/2 and halves each step, so eps fixes the step count; when it
-    exceeds max_iter, DomainError is raised before any work.
+    exceeds max_iter, DomainError is raised before any work.  Each step
+    decides its dyadic midpoint by `_kl_side`: a fixed-point enclosure
+    with directed rounding first, and one exact integer comparison only
+    for an outcome the enclosure leaves open, so lo, hi and the prefix
+    length are those of the exact rule.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -304,11 +383,10 @@ def kl_constant(eps, max_iter: int = 10_000) -> tuple:
                           % (steps, max_iter))
     lo, hi = Fraction(3, 2), Fraction(2)
     tau = list(thue_morse_prefix(32))
-    state = {"max_prefix": len(tau)}
     for _ in range(steps):
         mid = (lo + hi) / 2
-        if _kl_side(mid, tau, state) > 0:
+        if _kl_side(mid, tau) > 0:
             lo = mid
         else:
             hi = mid
-    return lo, hi, max(state["max_prefix"], len(tau))
+    return lo, hi, len(tau)

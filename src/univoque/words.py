@@ -48,7 +48,10 @@ class EPSequence:
         return self.period[(i - p - 1) % len(self.period)]
 
     def prefix(self, n: int) -> tuple:
-        return tuple(self.digit(i) for i in range(1, n + 1))
+        pre, per = self.preperiod, self.period
+        if n <= len(pre):
+            return pre[:max(n, 0)]
+        return (pre + per * -(-(n - len(pre)) // len(per)))[:n]
 
     @property
     def max_digit(self) -> int:

@@ -37,6 +37,8 @@ EXPAND_BASES = [
     "poly:-2,0,1 in (-2,-1)",
 ]
 
+GAMMA_110100_80 = "110100" * 80 + "(1101001100101100)"
+
 COMMANDS = README + [
     ["expand", base, "--mode", mode, "--depth", "40"]
     for base in EXPAND_BASES for mode in ("greedy", "quasi")
@@ -46,6 +48,22 @@ COMMANDS = README + [
     ["oracle", "poly:-2,0,1 in (1/3,5/3)", "--depth", "10", "--counts"],
     ["expand", "poly:-2,1 in (3/2,5/2)", "--mode", "greedy", "--depth", "10"],
     ["expand", "poly:-2,1 in (3/2,5/2)", "--mode", "quasi", "--depth", "10"],
+] + [
+    # the bisection count and the Thue-Morse prefix length it needed
+    ["kl", "--eps", "1e-30"],
+    ["kl", "--eps", "1e-54"],
+] + [
+    # gamma_80 for the target (110100): preperiod 480, period 16
+    ["check", GAMMA_110100_80, "--which", which]
+    for which in ("univoque", "closure", "greedy", "quasi")
+] + [
+    # witnesses for all of conditions 21, 22, 23 and 24
+    ["check", "(1001)", "--which", "univoque"],
+    ["check", "100(1)", "--which", "closure"],
+    # digits above 9, written in brackets
+    ["check", "[12,3]([3,12])", "--which", "univoque"],
+    ["check", "([10,0,0,10])", "--which", "closure"],
+    ["check", "[12,3]([3,12])", "--which", "greedy"],
 ]
 
 

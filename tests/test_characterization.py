@@ -4,16 +4,19 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from univoque import characterization
 from univoque.algebraic import refine
-from univoque.characterization import (SearchCapExceeded,
-                                       check_closure,
+from univoque.characterization import (ConditionWitness, SearchCapExceeded,
+                                       UnivoqueCertificate, check_closure,
                                        check_greedy_admissible,
                                        check_quasi_greedy_admissible,
                                        check_univoque, classify, find_m,
                                        verify_lemma_26)
 from univoque.expansions import greedy_expansion, solve_base
-from univoque.words import (LT, complement, ep_sequence, lex_compare, shift)
+from univoque.words import (EQ, GT, LT, complement, ep_sequence,
+                            format_sequence, lex_compare, shift)
 
 S10 = ep_sequence((), (1, 0))
 S110 = ep_sequence((), (1, 1, 0))
@@ -169,3 +172,137 @@ def test_closure_without_univoque_has_finite_greedy_expansion():
         digits = greedy_expansion(solve_base(s), 60).digits
         # finite greedy expansion: a trailing zero block of length >= 30
         assert digits == (1,) * (n + 1) + (0,) * (60 - n - 1)
+
+
+# --- the window comparison against the per-shift reference ------------------
+
+_REL = {LT: "<", EQ: "=", GT: ">"}
+
+
+def _classify_ref(s):
+    """classify by one re-canonicalized shift and one full lex_compare per
+    shift index, as the conditions are stated."""
+    b = s.digit(1)
+    n_shifts = len(s.preperiod) + len(s.period)
+    if s.max_digit > b:
+        return UnivoqueCertificate("inadmissible", (ConditionWitness(
+            22, 0, format_sequence(s), str(b), "digit exceeds first digit"),),
+            0)
+    witnesses = []
+    ok = {21: True, 22: True, 23: True, 24: True}
+
+    def fail(cond, j, left, c):
+        if ok[cond]:
+            ok[cond] = False
+            witnesses.append(ConditionWitness(cond, j, format_sequence(left),
+                                              format_sequence(s), _REL[c]))
+
+    for j in range(1, n_shifts + 1):
+        t = shift(s, j)
+        c = lex_compare(t, s)
+        if c != LT:
+            fail(21, j, t, c)
+        if c == GT:
+            fail(23, j, t, c)
+        ct = complement(t, b)
+        c = lex_compare(ct, s)
+        if c != LT:
+            fail(22, j, ct, c)
+            fail(24, j, ct, c)
+    if ok[21] and ok[22]:
+        verdict = "univoque"
+    elif ok[23] and ok[24]:
+        verdict = "closure_only"
+    else:
+        verdict = "inadmissible"
+    return UnivoqueCertificate(verdict, tuple(witnesses), n_shifts)
+
+
+def _greedy_ref(s):
+    for j in range(1, len(s.preperiod) + len(s.period) + 1):
+        t = shift(s, j)
+        c = lex_compare(t, s)
+        if c != LT:
+            return False, ConditionWitness(21, j, format_sequence(t),
+                                           format_sequence(s), _REL[c])
+    return True, None
+
+
+def _quasi_ref(s):
+    n_shifts = len(s.preperiod) + len(s.period)
+    return not s.is_finite() and all(
+        lex_compare(shift(s, j), s) != GT for j in range(1, n_shifts + 1))
+
+
+def _assert_matches_reference(s):
+    assert classify(s) == _classify_ref(s)
+    assert check_greedy_admissible(s) == _greedy_ref(s)
+    assert check_quasi_greedy_admissible(s) == _quasi_ref(s)
+
+
+@st.composite
+def _sequences(draw):
+    """Eventually periodic sequences with digits up to 13, often led by
+    their largest digit (so the shift conditions decide), with empty or
+    short preperiods and periods up to 64."""
+    top = draw(st.integers(1, 13))
+    digit = st.integers(0, top)
+    pre = draw(st.lists(digit, max_size=12))
+    per = draw(st.lists(digit, min_size=1, max_size=64))
+    if draw(st.booleans()):
+        (pre if pre else per)[0] = top
+    if draw(st.booleans()):
+        # a repeated block makes long agreements between shifts
+        per = per[:draw(st.integers(1, 8))] * draw(st.integers(1, 8))
+    return ep_sequence(pre, per)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sequences())
+def test_window_checks_match_the_per_shift_reference(s):
+    _assert_matches_reference(s)
+
+
+def test_window_checks_match_on_approximant_sequences():
+    """Long gamma_N and their neighbours leaving the closure, as in the
+    approximant pipeline."""
+    for alpha, m in (((1, 1, 0), 4), ((1, 1, 1, 0), 5),
+                     ((1, 1, 0, 1, 0, 0), 8)):
+        a = ep_sequence((), alpha).prefix(m)
+        block = a + tuple(1 - d for d in a)
+        for n in (2, 7, 20):
+            for s in (ep_sequence(alpha * n, block),
+                      ep_sequence(alpha * n, (1,)),
+                      ep_sequence(alpha * n, (0,)),
+                      ep_sequence((), alpha)):
+                _assert_matches_reference(s)
+
+
+def test_window_checks_match_on_every_short_binary_sequence():
+    # shifts that agree with s on all but the last digit of the window
+    for length in range(1, 9):
+        for digs in itertools.product((0, 1), repeat=length):
+            for p in range(length):
+                _assert_matches_reference(ep_sequence(digs[:p], digs[p:]))
+
+
+def test_witnesses_build_at_most_four_shifts(monkeypatch):
+    calls = []
+
+    def counting_shift(s, j):
+        calls.append(j)
+        return shift(s, j)
+
+    monkeypatch.setattr(characterization, "shift", counting_shift)
+    for s in (ep_sequence((), (1, 0, 0, 1)), ep_sequence((1, 0, 0), (1,)),
+              ep_sequence((1, 1) * 50, (1,)), UNIVOQUE_N2, S110):
+        for check in (classify, check_greedy_admissible,
+                      check_quasi_greedy_admissible):
+            del calls[:]
+            check(s)
+            assert len(calls) <= 4
+    # the 21/23 pair and the 22/24 pair each share one shifted sequence
+    del calls[:]
+    cert = classify(ep_sequence((), (1, 0, 0, 1)))
+    assert sorted(w.condition for w in cert.witnesses) == [21, 22, 23, 24]
+    assert sorted(calls) == [1, 3]

@@ -107,13 +107,32 @@ def test_kl_enclosure():
 
 
 def test_negative_depth_is_a_usage_error():
-    for depth, args in (("-3", ("expand", "3/2")),
-                        ("-1", ("expand", "seq:(110)", "--mode", "quasi")),
-                        ("-2", ("oracle", "3/2", "--counts"))):
+    for depth, least, args in (
+            ("-3", 0, ("expand", "3/2")),
+            ("-1", 0, ("expand", "seq:(110)", "--mode", "quasi")),
+            ("-2", 1, ("oracle", "3/2", "--counts"))):
         r = run(*args, "--depth", depth, "--json")
         assert r.exit_code == 2
         assert r.output.strip().splitlines() == \
-            ["error: depth must be >= 0, got %s" % depth]
+            ["error: depth must be >= %d, got %s" % (least, depth)]
+
+
+def test_oracle_depth_zero_is_a_usage_error():
+    # zero checked levels would certify uniqueness vacuously
+    for args in (("3/2", "--counts"), ("seq:(110)",)):
+        r = run("oracle", *args, "--depth", "0", "--json")
+        assert r.exit_code == 2
+        assert r.output.strip().splitlines() == \
+            ["error: depth must be >= 1, got 0"]
+
+
+def test_approximate_empty_n_range_is_a_usage_error():
+    r = run("approximate", "110", "--from", "2", "--to", "1", "--json")
+    assert r.exit_code == 2
+    assert r.output.strip().splitlines() == ["error: empty N range"]
+    # a target outside the closure stays a semantic failure
+    r = run("approximate", "10", "--from", "2", "--to", "3")
+    assert r.exit_code == 1
 
 
 def test_kl_eps_beyond_the_iteration_cap_fails_at_once():

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from univoque import expansions
+from univoque import polynomials as pl
 from univoque.algebraic import DomainError, refine, sign_at
 from univoque.characterization import check_greedy_admissible
 from univoque.expansions import (NoBaseError, greedy_expansion, kl_constant,
@@ -197,6 +199,96 @@ def test_kl_constant_counts_its_bisection_steps_up_front():
     assert hi - lo == F(1, 2 ** 11)
     with pytest.raises(DomainError, match="11 bisection steps.*max_iter = 10"):
         kl_constant(F(1, 2 ** 11) - F(1, 10 ** 9), max_iter=10)
+
+
+def _kl_side_ref(q, tau):
+    """The bisection rule in Fraction arithmetic: Horner over the prefix
+    of L terms, +1 when the sum exceeds 1, -1 when the sum plus the tail
+    bound q^-L / (q - 1) falls below 1, else the prefix doubles."""
+    while True:
+        n = len(tau)
+        x = 1 / q
+        s = F(0)
+        for d in reversed(tau):
+            s = (s + d) * x
+        if s > 1:
+            return 1
+        if s + x ** n / (q - 1) < 1:
+            return -1
+        tau.extend(thue_morse_prefix(2 * n)[n:])
+
+
+def _kl_sides(q, length):
+    """(side, final prefix length) from the library and the reference."""
+    tau, ref = list(thue_morse_prefix(length)), list(thue_morse_prefix(length))
+    return (expansions._kl_side(q, tau), len(tau)), (_kl_side_ref(q, ref),
+                                                     len(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 160), j=st.integers(1, 2 ** 160),
+       length=st.sampled_from([32, 64, 128, 256, 512, 1024]))
+def test_kl_side_matches_the_fraction_rule_at_dyadic_points(k, j, length):
+    q = F(3, 2) + F(j % (2 ** (k - 1) - 1) + 1, 2 ** k)
+    assert F(3, 2) < q < 2
+    got, want = _kl_sides(q, length)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 120), j=st.integers(1, 2 ** 120),
+       length=st.sampled_from([1, 2, 5, 32, 100, 256]),
+       prec=st.integers(4, 300))
+def test_kl_enclosure_bounds_the_sum_and_the_tail(k, j, length, prec):
+    q = 1 + F(j % (2 ** (k + 1)) + 1, 2 ** k)
+    n, d = q.numerator, q.denominator
+    tau = thue_morse_prefix(length)
+    s = sum(t * q ** -i for i, t in enumerate(tau, 1)) * 2 ** prec
+    tail = q ** -length / (q - 1) * 2 ** prec
+    s_lo, s_hi, t_lo, t_hi = expansions._kl_enclosure(tau, n, d, prec)
+    assert s_lo <= s <= s_hi and t_lo <= tail <= t_hi
+    if prec >= d.bit_length() + 4:
+        # each Horner step adds at most about q/(q-1) + 2 units, and the
+        # ceiling of 1/q, still below 1, damps what came before
+        r = q / (q - 1)
+        assert s_hi - s_lo <= 2 * (r + 2) * r
+
+
+KL_FINE = kl_constant(F(1, 2 ** 400))[0]
+
+
+@pytest.mark.parametrize("length", [32, 64, 128, 256])
+def test_kl_side_extends_its_prefix_like_the_fraction_rule(length):
+    # within about q^-L of the constant the tail bound is not decisive
+    e = length * 84 // 100 + 4
+    extended = 0
+    for r in (-3, -1, 1, 2):
+        q = KL_FINE + F(r, 2 ** e)
+        got, want = _kl_sides(q, length)
+        assert got == want
+        extended += got[1] > length
+    assert extended >= 3
+
+
+@pytest.mark.parametrize("length", [32, 64, 256])
+def test_kl_side_fallback_decides_every_case_alone(monkeypatch, length):
+    """With a filter of a few bits, the exact integer comparisons decide;
+    the result must not depend on the precision."""
+    calls = []
+    scaled_value = pl.scaled_value
+    monkeypatch.setattr(pl, "scaled_value",
+                        lambda *a: calls.append(1) or scaled_value(*a))
+    rng = random.Random(length)
+    for _ in range(12):
+        k = rng.randrange(8, 120)
+        q = F(3, 2) + F(rng.randrange(1, 2 ** (k - 1)), 2 ** k)
+        if rng.random() < 0.5:
+            q = KL_FINE + F(rng.choice((-1, 1)), 2 ** (length * 84 // 100 + 4))
+        monkeypatch.setattr(expansions, "_KL_GUARD",
+                            3 - q.denominator.bit_length())
+        got, want = _kl_sides(q, length)
+        assert got == want
+    assert len(calls) >= 6
 
 
 def test_expansions_refuse_a_negative_depth():
