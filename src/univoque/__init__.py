@@ -1,31 +1,12 @@
 """Exact arithmetic for expansions of 1 in real bases and univoque numbers."""
 
-from .algebraic import AlgebraicReal, algebraic_real, floor_of, refine, sign_at, \
-    sturm_count
-from .approximator import ApproximationRecord, approximate, construct_gamma
-from .characterization import (UnivoqueCertificate, check_closure,
-                               check_greedy_admissible,
-                               check_quasi_greedy_admissible, check_univoque,
-                               find_m, verify_lemma_26)
-from .expansions import (ExpansionPrefix, greedy_expansion, kl_constant,
-                         poly_from_sequence, quasi_from_greedy,
-                         quasi_greedy_expansion, solve_base,
-                         thue_morse_prefix, value)
-from .oracle import certify_unique_prefix, enumerate_expansions, \
-    greedy_via_oracle
-from .words import (EPSequence, canonicalize, complement, ep_sequence,
-                    lex_compare, lex_compare_word, parse_sequence,
-                    parse_word, shift, word)
+from .approximator import approximate
+from .characterization import classify
+from .expansions import (greedy_expansion, kl_constant, quasi_greedy_expansion,
+                         solve_base)
+from .words import ep_sequence
 
 __all__ = [
-    "AlgebraicReal", "algebraic_real", "floor_of", "refine", "sign_at",
-    "sturm_count", "ApproximationRecord", "approximate", "construct_gamma",
-    "UnivoqueCertificate", "check_closure", "check_greedy_admissible",
-    "check_quasi_greedy_admissible", "check_univoque", "find_m",
-    "verify_lemma_26", "ExpansionPrefix", "greedy_expansion", "kl_constant",
-    "poly_from_sequence", "quasi_from_greedy", "quasi_greedy_expansion",
-    "solve_base", "thue_morse_prefix", "value", "certify_unique_prefix",
-    "enumerate_expansions", "greedy_via_oracle", "EPSequence",
-    "canonicalize", "complement", "ep_sequence", "lex_compare",
-    "lex_compare_word", "parse_sequence", "parse_word", "shift", "word",
+    "approximate", "classify", "ep_sequence", "greedy_expansion",
+    "kl_constant", "quasi_greedy_expansion", "solve_base",
 ]

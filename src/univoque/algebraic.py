@@ -83,26 +83,16 @@ class AlgebraicReal:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def midpoint_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
     def validate(self) -> None:
         if sturm_count(self.poly, self.lo, self.hi) != 1:
             raise ValueError("interval does not isolate exactly one root")
 
 
-def algebraic_real(poly_coeffs, lo, hi, validate: bool = True) -> AlgebraicReal:
+def algebraic_real(poly_coeffs, lo, hi) -> AlgebraicReal:
+    """The root of poly_coeffs in (lo, hi), certified by a Sturm count."""
     a = AlgebraicReal(pl.poly(poly_coeffs), Fraction(lo), Fraction(hi))
-    if validate:
-        a.validate()
+    a.validate()
     return a
-
-
-def from_rational(x) -> AlgebraicReal:
-    """Represent an exact rational as the root of a linear polynomial."""
-    x = Fraction(x)
-    p = pl.poly([-x.numerator, x.denominator])
-    return AlgebraicReal(p, x - Fraction(1, 2), x + Fraction(1, 2))
 
 
 class _Box(NamedTuple):
@@ -237,32 +227,6 @@ def sign_at(c, a: AlgebraicReal) -> int:
         _REFINED[a] = box
         if len(_REFINED) > _REFINED_MAX:
             _REFINED.popitem(last=False)
-
-
-def sign_of_fraction_poly(coeffs, a: AlgebraicReal) -> int:
-    """sign_at for a polynomial with Fraction coefficients."""
-    cleaned = pl.make_primitive(coeffs)
-    return sign_at(cleaned, a)
-
-
-def reduce_mod(coeffs, f: tuple) -> list:
-    """Reduce a Fraction-coefficient polynomial modulo the integer poly f.
-
-    Returns a list of Fractions of length deg(f) (degree < deg f)."""
-    d = pl.degree(f)
-    r = [Fraction(c) for c in coeffs]
-    lead = Fraction(f[-1])
-    while len(r) > d:
-        top = r.pop()
-        if top == 0:
-            continue
-        q = top / lead
-        shift = len(r) - d
-        for i in range(d):
-            r[shift + i] -= q * f[i]
-    while len(r) < d:
-        r.append(Fraction(0))
-    return r
 
 
 def floor_of(a: AlgebraicReal) -> tuple:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import AlgebraicReal, refine
-from .characterization import (UnivoqueCertificate, check_univoque, classify,
-                               find_m)
+from .characterization import UnivoqueCertificate, classify, find_m
 from .expansions import poly_from_sequence, solve_base
 from .words import EPSequence, complement_word, ep_sequence, format_sequence, word
 
@@ -76,6 +75,16 @@ def _target_sequence(alpha) -> tuple:
     return s, len(s.period), s.period
 
 
+def minimal_n(alpha, m: int | None = None) -> int:
+    """The least block count N for the target (alpha)^inf: the repeated
+    block must cover the m-block, k N >= m.  m defaults to the least one
+    that satisfies the block condition (find_m)."""
+    s, k, _ = _target_sequence(alpha)
+    if m is None:
+        m = find_m(s, k)
+    return -(-m // k)
+
+
 def construct_gamma(alpha, N: int, m: int | None = None):
     """Build the approximant digit sequence for block count N.
 
@@ -103,7 +112,7 @@ def construct_gamma(alpha, N: int, m: int | None = None):
             raise ValueError("m = %d does not satisfy the block condition "
                              "for this target" % m) from None
     if N < 1 or k * N < m:
-        raise NTooSmallError(N, -(-m // k))
+        raise NTooSmallError(N, minimal_n(alpha, m))
     b = s.digit(1)
     alpha_m = s.prefix(m)
     gamma = ep_sequence(alpha_c * N, alpha_m + complement_word(alpha_m, b))
@@ -116,8 +125,11 @@ def construct_gamma(alpha, N: int, m: int | None = None):
     return gamma, k, m
 
 
-def _gap_bound(target: AlgebraicReal, base: AlgebraicReal,
-               shrink: int = 10) -> tuple:
+# the reported gap is at least this many times the interval width
+_GAP_SHRINK = 10
+
+
+def _gap_bound(target: AlgebraicReal, base: AlgebraicReal) -> tuple:
     """Refine both enclosures until the reported gap dominates the interval
     slack, then return (gap, target, base)."""
     w = Fraction(1, 16)
@@ -125,13 +137,12 @@ def _gap_bound(target: AlgebraicReal, base: AlgebraicReal,
         target = refine(target, w)
         base = refine(base, w)
         gap = target.hi - base.lo
-        if gap > 0 and w <= gap / shrink:
+        if gap > 0 and w <= gap / _GAP_SHRINK:
             return gap, target, base
-        w = gap / (2 * shrink) if gap > 0 else w / 16
+        w = gap / (2 * _GAP_SHRINK) if gap > 0 else w / 16
 
 
-def approximate(alpha, n_from: int, n_to: int, m: int | None = None,
-                gap_shrink: int = 10):
+def approximate(alpha, n_from: int, n_to: int, m: int | None = None):
     """Run the full pipeline for N = n_from..n_to, returning one certified
     ApproximationRecord per N (ordered by N)."""
     if n_to < n_from:
@@ -145,12 +156,12 @@ def approximate(alpha, n_from: int, n_to: int, m: int | None = None,
         gamma, _, _ = construct_gamma(alpha, n, m)
         polynomial = poly_from_sequence(gamma)
         base = solve_base(gamma)
-        cert = check_univoque(gamma)
+        cert = classify(gamma)
         if not cert.is_univoque:
             raise RuntimeError(
                 "internal error: constructed sequence failed the "
                 "univoqueness certificate at N = %d" % n)
-        gap, target, base = _gap_bound(target, base, gap_shrink)
+        gap, target, base = _gap_bound(target, base)
         records.append(ApproximationRecord(
             alpha=word(alpha), k=k, m=m, N=n, gamma=gamma,
             polynomial=polynomial, base=base, certificate=cert,

@@ -160,17 +160,6 @@ def check_greedy_admissible(s: EPSequence):
     return True, None
 
 
-def check_univoque(s: EPSequence) -> UnivoqueCertificate:
-    """Certificate for membership of the base of s in the univoque set."""
-    return classify(s)
-
-
-def check_closure(s: EPSequence) -> UnivoqueCertificate:
-    """Certificate for membership of the base of s in the closure of the
-    univoque set (s read as a quasi-greedy expansion)."""
-    return classify(s)
-
-
 def check_quasi_greedy_admissible(s: EPSequence) -> bool:
     """Is s the quasi-greedy expansion of 1 for some q > 1?  Requires
     infinitely many nonzero digits plus the non-strict shift condition,

@@ -116,7 +116,7 @@ def expand(base, mode, depth, as_json):
             ValueError) as exc:
         _fail(str(exc), 2)
     _emit({"command": "expand", "base": base, "mode": mode, "depth": depth,
-           "digits": format_word(prefix.digits), "exact": prefix.exact},
+           "digits": format_word(prefix.digits), "exact": True},
           as_json)
 
 
@@ -137,13 +137,9 @@ def check(seq, which, as_json):
         _fail(str(exc), 2)
     payload = {"command": "check", "sequence": format_sequence(s),
                "which": which}
-    if which == "univoque":
-        cert = characterization.check_univoque(s)
-        ok = cert.is_univoque
-        payload.update(cert.as_dict())
-    elif which == "closure":
-        cert = characterization.check_closure(s)
-        ok = cert.in_closure
+    if which in ("univoque", "closure"):
+        cert = characterization.classify(s)
+        ok = cert.is_univoque if which == "univoque" else cert.in_closure
         payload.update(cert.as_dict())
     elif which == "greedy":
         ok, witness = characterization.check_greedy_admissible(s)
@@ -172,11 +168,9 @@ def approximate(alpha, n_from, n_to, as_json):
         _fail(str(exc), 2)
     if n_from is None:
         try:
-            s, k, _ = approximator._target_sequence(alpha_w)
-            m = characterization.find_m(s, k)
+            n_from = approximator.minimal_n(alpha_w)
         except ValueError as exc:       # the target is outside the closure
             _fail(str(exc), 1)
-        n_from = -(-m // k)
     if n_to is None:
         n_to = n_from
     try:
@@ -220,7 +214,7 @@ def oracle_cmd(base, depth, counts, as_json):
         _fail("depth must be >= 1, got %d" % depth, 2)
     try:
         b = parse_base(base)
-        cap = _max_work(100_000)
+        cap = _max_work(oracle.LEVEL_CAP)
         tree = oracle.enumerate_expansions(b, depth, level_cap=cap,
                                            counts_only=counts)
     except (ParseError, DomainError, expansions.NoBaseError,

@@ -1,19 +1,22 @@
 """Greedy and quasi-greedy expansions of 1, base solving, Thue-Morse.
 
 The number 1 is expanded in a base q > 1 (q >= 1 for greedy) as
-sum_i c_i q^{-i} = 1.  Digit decisions are exact: rational bases use
-Fraction arithmetic, algebraic bases use sign tests of residual
-polynomials reduced modulo the defining polynomial.
+sum_i c_i q^{-i} = 1.  Digit decisions are exact and go through one
+residual arithmetic per base kind (RationalBase, AlgebraicBase), which the
+oracle shares.  Both keep a residual as integers over a power of the
+leading coefficient of q's defining polynomial: an integer over b^n for
+q = a/b, an integer polynomial of degree < deg f for a root of f, whose
+sign comes from sign_at.  No step goes through Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import polynomials as pl
-from .algebraic import (AlgebraicReal, DomainError, floor_of, refine,
-                        sign_of_fraction_poly, reduce_mod)
+from .algebraic import AlgebraicReal, DomainError, floor_of, refine, sign_at
 from .words import EPSequence, ep_sequence, word
 
 
@@ -25,17 +28,6 @@ class NoBaseError(ValueError):
 class ExpansionPrefix:
     digits: tuple
     depth: int
-    exact: bool
-
-
-def coerce_base(q):
-    """Accept a Fraction/int, an AlgebraicReal, or an EPSequence (meaning
-    the unique base where its value is 1)."""
-    if isinstance(q, AlgebraicReal):
-        return q
-    if isinstance(q, EPSequence):
-        return solve_base(q)
-    return Fraction(q)
 
 
 def value(s: EPSequence, q) -> Fraction:
@@ -110,127 +102,169 @@ def solve_base(s: EPSequence) -> AlgebraicReal:
     return refine(AlgebraicReal(p, lo, hi), Fraction(1, 2))
 
 
-# --- expansion digit machinery ---------------------------------------------
+# --- residual arithmetic ----------------------------------------------------
+#
+# The residual after n digits is r_n = q^n (1 - sum_{i<=n} c_i q^-i), so
+# r_0 = 1 and r_n = q r_{n-1} - c_n.  One class per base kind implements the
+# same operations on it: cap (floor of q), root() (r_0), times_q(r),
+# minus(x, c) (x - c for an integer or a residual c), sign(x), and
+# floor(x) -> (t, x == t).  The greedy and quasi-greedy rules below and the
+# oracle's tail-bound rule are written once over these operations.
 
 
-def _digit_cap(q) -> int:
-    if isinstance(q, AlgebraicReal):
-        n, is_int = floor_of(q)
-        return n
-    return int(Fraction(q))
+class RationalBase:
+    """Residual arithmetic at a rational base q = a/b in lowest terms.
+
+    A residual is a pair (n, den) of integers, den > 0 a power of b, of
+    value n / den.  r_n = (a^n - sum_i c_i a^(n-i) b^i) / b^n has a
+    numerator prime to b, so b^n is already its lowest denominator and a
+    Fraction would only spend gcds that never reduce it.
+    """
+
+    def __init__(self, q: Fraction):
+        self.a, self.b = q.numerator, q.denominator
+        self.cap = self.a // self.b
+
+    def root(self):
+        return 1, 1
+
+    def times_q(self, r):
+        return self.a * r[0], self.b * r[1]
+
+    def minus(self, x, c):
+        n, den = x
+        if isinstance(c, int):
+            return n - c * den, den
+        m, e = c
+        if den < e:
+            return n * (e // den) - m, e
+        return n - m * (den // e), den
+
+    def sign(self, x) -> int:
+        n = x[0]
+        return (n > 0) - (n < 0)
+
+    def floor(self, x) -> tuple:
+        t, rem = divmod(x[0], x[1])
+        return t, rem == 0
 
 
-def _greedy_rational(q: Fraction, n: int):
-    r = Fraction(1)
-    digits = []
-    for _ in range(n):
-        x = q * r
-        g = x.numerator // x.denominator
-        digits.append(g)
-        r = x - g
-    return digits
+class AlgebraicBase:
+    """Residual arithmetic at an algebraic base q, a root of f = a.poly.
 
-
-def _quasi_rational(q: Fraction, n: int):
-    r = Fraction(1)
-    digits = []
-    for _ in range(n):
-        x = q * r
-        if x.denominator == 1:
-            a = x.numerator - 1
-        else:
-            a = x.numerator // x.denominator
-        digits.append(a)
-        r = x - a
-    return digits
-
-
-class _Residual:
-    """Residual q^n (1 - sum_{i<=n} c_i q^{-i}) as a polynomial in q reduced
-    modulo the defining polynomial of an algebraic base."""
+    A residual is a pair (n, den): the integer coefficients of a polynomial
+    n of degree < d = deg f, constant first, and a positive denominator
+    den, a power of the leading coefficient L of f (f is negated first
+    when L < 0).  Its value is n(q) / den, so its sign is sign_at(n, a).
+    Multiplying by q shifts n up by one degree and removes the top term
+    t q^d by q^d = -(f - L q^d)(q) / L: one shift and one subtraction of
+    t f, over the denominator den L.
+    """
 
     def __init__(self, a: AlgebraicReal):
-        self.base = a
-        self.f = a.poly
-        d = pl.degree(a.poly)
-        self.r = [Fraction(0)] * d
-        if d >= 1:
-            self.r[0] = Fraction(1)
-        self.is_zero = False
+        self.a = a
+        f = a.poly if a.poly[-1] > 0 else pl.negate(a.poly)
+        self.low, self.lead = f[:-1], f[-1]
 
-    def times_q(self) -> list:
-        shifted = [Fraction(0)] + self.r
-        return reduce_mod(shifted, self.f)
+    @cached_property
+    def cap(self) -> int:
+        return floor_of(self.a)[0]
 
-    def sign_minus(self, coeffs: list, t: int) -> int:
-        c = list(coeffs)
-        c[0] -= t
-        if all(x == 0 for x in c):
-            return 0
-        return sign_of_fraction_poly(c, self.base)
+    def root(self):
+        return (1,) + (0,) * (len(self.low) - 1), 1
+
+    def times_q(self, r):
+        n, den = r
+        top, lead = n[-1], self.lead
+        return (tuple(lead * x - top * g
+                      for x, g in zip((0,) + n[:-1], self.low)),
+                den * lead)
+
+    def minus(self, x, c):
+        n, den = x
+        if isinstance(c, int):
+            return (n[0] - c * den,) + n[1:], den
+        m, e = c
+        # both denominators are powers of the leading coefficient
+        if den < e:
+            n, den = tuple(v * (e // den) for v in n), e
+        elif e < den:
+            m = tuple(v * (den // e) for v in m)
+        return tuple(u - v for u, v in zip(n, m)), den
+
+    def sign(self, x) -> int:
+        return sign_at(x[0], self.a)
+
+    def floor(self, x) -> tuple:
+        """(t, x == t) with t = floor(x), for 0 <= x < cap + 1.
+
+        Bisects over the candidates 0..cap + 1 with O(log cap) sign tests;
+        a value that reaches cap + 1 breaks the invariant and raises."""
+        lo, hi, exact = 0, self.cap + 2, None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            s = self.sign(self.minus(x, mid))
+            if s < 0:
+                hi = mid
+            else:
+                lo, exact = mid, s == 0
+        if lo > self.cap:
+            raise RuntimeError("digit exceeds the cap %d: the sign test "
+                               "invariant is violated" % self.cap)
+        if exact is None:
+            exact = self.sign(x) == 0
+        return lo, exact
 
 
-def _expand_algebraic(a: AlgebraicReal, n: int, strict: bool):
-    res = _Residual(a)
-    cap = _digit_cap(a) + 1
-    digits = []
-    for _ in range(n):
-        if res.is_zero:
-            if strict:
-                raise DomainError("residual vanished: expansion is finite")
-            digits.append(0)
-            continue
-        x = res.times_q()
-        d = 0
-        while True:
-            s = res.sign_minus(x, d + 1)
-            if s < 0 or (strict and s == 0):
-                break
-            d += 1
-            if d > cap:
-                raise RuntimeError("digit exceeds the cap %d: the sign test "
-                                   "invariant is violated" % cap)
-        digits.append(d)
-        res.r = list(x)
-        res.r[0] -= d
-        if all(c == 0 for c in res.r):
-            res.is_zero = True
-    return digits
+def base_arithmetic(q):
+    """The residual arithmetic of q: a Fraction/int, an AlgebraicReal, or an
+    EPSequence (meaning the unique base where its value is 1)."""
+    if isinstance(q, EPSequence):
+        q = solve_base(q)
+    if isinstance(q, AlgebraicReal):
+        return AlgebraicBase(q)
+    return RationalBase(Fraction(q))
 
 
-def _check_depth(n: int) -> None:
+def q_minus_1_sign(b) -> int:
+    """The sign of q - 1 at the base b."""
+    return b.sign(b.minus(b.times_q(b.root()), 1))
+
+
+def _expand(q, n: int, strict: bool) -> ExpansionPrefix:
+    """n digits of the greedy expansion of 1 (each digit the largest with
+    q r - c >= 0), or with strict=True of the quasi-greedy one (q r - c > 0).
+    """
     if n < 0:
         raise DomainError("depth must be >= 0, got %d" % n)
+    b = base_arithmetic(q)
+    if strict and q_minus_1_sign(b) <= 0:
+        raise DomainError("quasi-greedy expansion requires q > 1")
+    if not strict and q_minus_1_sign(b) < 0:
+        raise DomainError("greedy expansion requires q >= 1")
+    times_q, floor, minus = b.times_q, b.floor, b.minus
+    r = b.root()
+    digits = []
+    while len(digits) < n:
+        x = times_q(r)
+        t, exact = floor(x)
+        d = t - (strict and exact)
+        digits.append(d)
+        if exact and not strict:
+            # the residual is 0, and so is every later greedy digit
+            digits += [0] * (n - len(digits))
+        r = minus(x, d)
+    return ExpansionPrefix(word(digits), n)
 
 
 def greedy_expansion(q, n: int) -> ExpansionPrefix:
     """First n digits of the greedy expansion of 1 in base q >= 1."""
-    _check_depth(n)
-    base = coerce_base(q)
-    if isinstance(base, Fraction):
-        if base < 1:
-            raise DomainError("greedy expansion requires q >= 1")
-        digits = _greedy_rational(base, n)
-    else:
-        if sign_of_fraction_poly([Fraction(-1), Fraction(1)], base) < 0:
-            raise DomainError("greedy expansion requires q >= 1")
-        digits = _expand_algebraic(base, n, strict=False)
-    return ExpansionPrefix(word(digits), n, True)
+    return _expand(q, n, strict=False)
 
 
 def quasi_greedy_expansion(q, n: int) -> ExpansionPrefix:
     """First n digits of the quasi-greedy expansion of 1; needs q > 1."""
-    _check_depth(n)
-    base = coerce_base(q)
-    if isinstance(base, Fraction):
-        if base <= 1:
-            raise DomainError("quasi-greedy expansion requires q > 1")
-        digits = _quasi_rational(base, n)
-    else:
-        if sign_of_fraction_poly([Fraction(-1), Fraction(1)], base) <= 0:
-            raise DomainError("quasi-greedy expansion requires q > 1")
-        digits = _expand_algebraic(base, n, strict=True)
-    return ExpansionPrefix(word(digits), n, True)
+    return _expand(q, n, strict=True)
 
 
 def quasi_from_greedy(g) -> EPSequence:
@@ -358,13 +392,17 @@ def _kl_side(q: Fraction, tau: list) -> int:
         tau.extend(thue_morse_prefix(2 * L)[L:])
 
 
-def kl_constant(eps, max_iter: int = 10_000) -> tuple:
+# kl_constant refuses an eps that needs more bisection steps than this
+_KL_MAX_STEPS = 10_000
+
+
+def kl_constant(eps) -> tuple:
     """Rational enclosure of the smallest univoque base (~1.787).
 
     Bisection of q -> sum tau_i q^{-i} with rigorous tail bounds.  Returns
     (lo, hi, prefix_length_used) with hi - lo <= eps.  The bracket starts
     at width 1/2 and halves each step, so eps fixes the step count; when it
-    exceeds max_iter, DomainError is raised before any work.  Each step
+    exceeds _KL_MAX_STEPS, DomainError is raised before any work.  Each step
     decides its dyadic midpoint by `_kl_side`: a fixed-point enclosure
     with directed rounding first, and one exact integer comparison only
     for an outcome the enclosure leaves open, so lo, hi and the prefix
@@ -378,9 +416,9 @@ def kl_constant(eps, max_iter: int = 10_000) -> tuple:
     steps = max(0, den.bit_length() - num.bit_length() - 2)
     while den > num << (steps + 1):
         steps += 1
-    if steps > max_iter:
+    if steps > _KL_MAX_STEPS:
         raise DomainError("eps needs %d bisection steps, above max_iter = %d"
-                          % (steps, max_iter))
+                          % (steps, _KL_MAX_STEPS))
     lo, hi = Fraction(3, 2), Fraction(2)
     tau = list(thue_morse_prefix(32))
     for _ in range(steps):

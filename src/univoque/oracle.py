@@ -2,8 +2,10 @@
 
 Branch-and-bound over digit prefixes: a prefix c_1..c_n is viable iff the
 scaled residual r_n = q^n (1 - sum c_i q^{-i}) can still be completed,
-i.e. 0 <= r_n <= M / (q - 1) with M the digit cap.  Everything is decided
-exactly; an interval-valued base gives a conservative (never-prune-a-real-
+i.e. 0 <= r_n <= M / (q - 1) with M the digit cap.  The residuals use the
+arithmetic of `expansions` (RationalBase, AlgebraicBase), so everything is
+decided exactly; the rule itself is this module's own, not the greedy floor
+rule.  An interval-valued base gives a conservative (never-prune-a-real-
 expansion) variant.
 """
 
@@ -12,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import AlgebraicReal, DomainError, floor_of, reduce_mod, \
-    sign_of_fraction_poly
-from .expansions import coerce_base
+from .algebraic import DomainError
+from .expansions import base_arithmetic, q_minus_1_sign
+
+# the default bound on the prefixes kept per level
+LEVEL_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -23,62 +27,6 @@ class PrefixTree:
     levels: tuple          # per level: tuple of digit-prefix tuples, or None
     counts: tuple          # per level: number of viable prefixes
     exhaustive: bool
-
-
-class _RationalBase:
-    def __init__(self, q: Fraction):
-        if q <= 1:
-            raise DomainError("oracle requires q > 1")
-        self.q = q
-        self.cap = q.numerator // q.denominator
-        self.tail_max = Fraction(self.cap, 1) / (q - 1)
-
-    def root(self):
-        return Fraction(1)
-
-    def step(self, r, c):
-        return self.q * r - c
-
-    def viable(self, r, strict_positive=False) -> bool:
-        low_ok = r > 0 if strict_positive else r >= 0
-        return low_ok and r <= self.tail_max
-
-
-class _AlgebraicBase:
-    def __init__(self, a: AlgebraicReal):
-        if sign_of_fraction_poly([Fraction(-1), Fraction(1)], a) <= 0:
-            raise DomainError("oracle requires q > 1")
-        self.a = a
-        self.f = a.poly
-        self.cap, _ = floor_of(a)
-
-    def root(self):
-        d = len(self.f) - 1
-        r = [Fraction(0)] * d
-        r[0] = Fraction(1)
-        return tuple(r)
-
-    def step(self, r, c):
-        shifted = [Fraction(0)] + list(r)
-        out = reduce_mod(shifted, self.f)
-        out[0] -= c
-        return tuple(out)
-
-    def _sign(self, coeffs) -> int:
-        if all(x == 0 for x in coeffs):
-            return 0
-        return sign_of_fraction_poly(list(coeffs), self.a)
-
-    def viable(self, r, strict_positive=False) -> bool:
-        s = self._sign(r)
-        if s < 0 or (strict_positive and s == 0):
-            return False
-        # r <= M/(q-1)  <=>  r*(q-1) - M <= 0
-        shifted = [Fraction(0)] + list(r)
-        rq = reduce_mod(shifted, self.f)
-        expr = [rq[i] - r[i] for i in range(len(r))]
-        expr[0] -= self.cap
-        return self._sign(expr) <= 0
 
 
 class _IntervalBase:
@@ -98,44 +46,73 @@ class _IntervalBase:
     def root(self):
         return (Fraction(1), Fraction(1))
 
-    def step(self, r, c):
+    def times_q(self, r):
         rlo, rhi = r
         prods = (self.lo * rlo, self.lo * rhi, self.hi * rlo, self.hi * rhi)
-        return (min(prods) - c, max(prods) - c)
+        return (min(prods), max(prods))
 
-    def viable(self, r, strict_positive=False) -> bool:
-        rlo, rhi = r
-        if rhi < 0 or (strict_positive and rhi <= 0):
-            return False
-        return rlo <= self.tail_max
+    def minus(self, x, c):
+        return (x[0] - c, x[1] - c)
+
+    def sign(self, x) -> int:
+        """+1 or -1 when the whole interval has that sign, else 0."""
+        return 1 if x[0] > 0 else -1 if x[1] < 0 else 0
 
 
-def _adapter(base):
+def _base(base, level_cap: int):
     if isinstance(base, tuple) and len(base) == 2:
-        return _IntervalBase(Fraction(base[0]), Fraction(base[1]))
-    b = coerce_base(base)
-    if isinstance(b, AlgebraicReal):
-        return _AlgebraicBase(b)
-    return _RationalBase(b)
+        b = _IntervalBase(Fraction(base[0]), Fraction(base[1]))
+    else:
+        b = base_arithmetic(base)
+        if q_minus_1_sign(b) <= 0:
+            raise DomainError("oracle requires q > 1")
+    if b.cap + 1 > level_cap:
+        raise DomainError("each prefix has %d candidate digits, above the "
+                          "level cap %d" % (b.cap + 1, level_cap))
+    return b
 
 
-def enumerate_expansions(base, depth: int, level_cap: int = 100_000,
-                         counts_only: bool = False,
-                         strict_positive: bool = False) -> PrefixTree:
+def _below_tail(b, r, qr) -> bool:
+    """r <= M/(q - 1), M = b.cap: digits <= M can still complete r.  On an
+    exact base this reads q r - r - M <= 0; an interval base compares the
+    lower end of r with M/(lo - 1)."""
+    if isinstance(b, _IntervalBase):
+        return r[0] <= b.tail_max
+    return b.sign(b.minus(b.minus(qr, r), b.cap)) <= 0
+
+
+def _children(b, x):
+    """(c, q r) for the viable children r = x - c of a prefix whose residual
+    times q is x, largest digit first.  x - c grows as c falls, so every
+    digit below the first child with x - c >= 0 passes that test too, and
+    the first child above the tail bound ends the list."""
+    minus, sign, times_q = b.minus, b.sign, b.times_q
+    nonneg = False
+    for c in range(b.cap, -1, -1):
+        r = minus(x, c)
+        nonneg = nonneg or sign(r) >= 0
+        if nonneg:
+            qr = times_q(r)
+            if not _below_tail(b, r, qr):
+                return
+            yield c, qr
+
+
+def enumerate_expansions(base, depth: int, level_cap: int = LEVEL_CAP,
+                         counts_only: bool = False) -> PrefixTree:
     """All viable digit prefixes of expansions of 1, level by level."""
     if depth < 0:
         raise DomainError("depth must be >= 0, got %d" % depth)
-    ad = _adapter(base)
-    frontier = [((), ad.root())]
+    b = _base(base, level_cap)
+    # each prefix is kept with its residual times q
+    frontier = [((), b.times_q(b.root()))]
     levels, counts = [], []
     exhaustive = True
     for _ in range(depth):
         nxt = []
-        for prefix, r in frontier:
-            for c in range(ad.cap, -1, -1):
-                child = ad.step(r, c)
-                if ad.viable(child, strict_positive):
-                    nxt.append((prefix + (c,), child))
+        for prefix, x in frontier:
+            for c, qr in _children(b, x):
+                nxt.append((prefix + (c,), qr))
         nxt.sort(key=lambda pr: pr[0])
         if len(nxt) > level_cap:
             nxt = nxt[:level_cap]
@@ -147,26 +124,23 @@ def enumerate_expansions(base, depth: int, level_cap: int = 100_000,
     return PrefixTree(depth, tuple(levels), tuple(counts), exhaustive)
 
 
-def certify_unique_prefix(base, depth: int, level_cap: int = 100_000) -> bool:
+def certify_unique_prefix(base, depth: int, level_cap: int = LEVEL_CAP) -> bool:
     """True iff exactly one viable prefix survives at every level: a
     depth-bounded necessary condition for univoqueness (sound refutation)."""
     tree = enumerate_expansions(base, depth, level_cap, counts_only=True)
     return tree.exhaustive and all(c == 1 for c in tree.counts)
 
 
-def greedy_via_oracle(base, depth: int, strict_positive: bool = False) -> tuple:
+def greedy_via_oracle(base, depth: int) -> tuple:
     """Lexicographically largest viable prefix, following the largest
     viable digit level by level."""
-    ad = _adapter(base)
-    r = ad.root()
+    b = _base(base, LEVEL_CAP)
+    x = b.times_q(b.root())
     digits = []
     for _ in range(depth):
-        for c in range(ad.cap, -1, -1):
-            child = ad.step(r, c)
-            if ad.viable(child, strict_positive):
-                digits.append(c)
-                r = child
-                break
-        else:
+        child = next(_children(b, x), None)
+        if child is None:
             raise RuntimeError("no viable digit: invariant violated")
+        c, x = child
+        digits.append(c)
     return tuple(digits)

@@ -1,10 +1,11 @@
 """Integer polynomials with exact rational evaluation and Sturm chains.
 
 Polynomials are tuples of arbitrary-precision integers, constant term
-first.  The zero polynomial is the empty tuple.  All arithmetic that
-leaves the integers goes through fractions.Fraction; no floating point.
-Sign tests at a rational point n/d stay in the integers: they use
-d^deg * p(n/d), which has the sign of p(n/d).
+first.  The zero polynomial is the empty tuple.  One long division over
+the rationals (`_divmod`, in fractions.Fraction) serves the gcd, the
+square-free part and the Sturm chains; no floating point.  Sign tests at
+a rational point n/d stay in the integers: they use d^deg * p(n/d), which
+has the sign of p(n/d).
 """
 
 from __future__ import annotations
@@ -79,29 +80,25 @@ def shift_up(p: tuple, k: int) -> tuple:
     return (0,) * k + tuple(p)
 
 
-def scale(p: tuple, c) -> tuple:
-    if c == 0:
-        return ()
-    return tuple(c * x for x in p)
+def _divmod(a, b) -> tuple:
+    """Quotient and remainder of a by b != 0 over the rationals.
 
-
-def _frac_rem(a: list, b: list) -> list:
-    """Remainder of a modulo b over the rationals (lists of Fractions)."""
+    a and b hold ints or Fractions, constant term first; so do the returned
+    lists, and the remainder has no trailing zeros."""
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        la = a[-1]
-        if la == 0:
-            a.pop()
-            continue
-        q = la / lb
-        shift = len(a) - 1 - db
-        for i in range(len(b)):
-            a[shift + i] -= q * b[i]
-        a.pop()
+    db, lb = len(b) - 1, Fraction(b[-1])
+    quo = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        la = a.pop()
+        if la:
+            c = la / lb
+            k = len(a) - db
+            quo[k] = c
+            for i in range(db):
+                a[k + i] -= c * b[i]
     while a and a[-1] == 0:
         a.pop()
-    return a
+    return quo, a
 
 
 def make_primitive(coeffs) -> tuple:
@@ -124,10 +121,9 @@ def make_primitive(coeffs) -> tuple:
 
 def poly_gcd(a: tuple, b: tuple) -> tuple:
     """Primitive gcd of two integer polynomials, positive leading coefficient."""
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
+    fa, fb = a, b
     while fb:
-        fa, fb = fb, _frac_rem(fa, fb)
+        fa, fb = fb, _divmod(fa, fb)[1]
     g = make_primitive(fa)
     if g and g[-1] < 0:
         g = negate(g)
@@ -148,21 +144,7 @@ def squarefree_part(p: tuple) -> tuple:
     g = poly_gcd(p, d)
     if degree(g) == 0:
         return p
-    q = [Fraction(c) for c in p]
-    # exact division by g over the rationals
-    db, lb = len(g) - 1, Fraction(g[-1])
-    out = [Fraction(0)] * (len(q) - db)
-    while len(q) - 1 >= db and q:
-        la = q[-1]
-        if la == 0:
-            q.pop()
-            continue
-        c = la / lb
-        out[len(q) - 1 - db] = c
-        for i in range(len(g)):
-            q[len(q) - 1 - db + i] -= c * g[i]
-        q.pop()
-    return make_primitive(out)
+    return make_primitive(_divmod(p, g)[0])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -171,9 +153,7 @@ def sturm_chain(p: tuple) -> tuple:
     f = squarefree_part(p)
     chain = [f, derivative(f)]
     while not is_zero(chain[-1]):
-        r = _frac_rem([Fraction(c) for c in chain[-2]],
-                      [Fraction(c) for c in chain[-1]])
-        r = make_primitive(r)
+        r = make_primitive(_divmod(chain[-2], chain[-1])[1])
         if is_zero(r):
             break
         chain.append(negate(r))

@@ -87,10 +87,6 @@ def ep_sequence(pre, per) -> EPSequence:
     return EPSequence(tuple(pre), per)
 
 
-def canonicalize(pre, per) -> EPSequence:
-    return ep_sequence(pre, per)
-
-
 def shift(s: EPSequence, j: int) -> EPSequence:
     """Drop the first j digits."""
     if j < 0:

@@ -64,6 +64,15 @@ COMMANDS = README + [
     ["check", "[12,3]([3,12])", "--which", "univoque"],
     ["check", "([10,0,0,10])", "--which", "closure"],
     ["check", "[12,3]([3,12])", "--which", "greedy"],
+] + [
+    # residual denominators: a non-monic polynomial, a negative leading
+    # coefficient, a non-monic quadratic, and the same base as a rational
+    cmd
+    for base in ("poly:-3,2 in (1,2)", "poly:3,-2 in (1,2)",
+                 "poly:-7,-1,4 in (1,2)", "3/2")
+    for cmd in (["expand", base, "--mode", "greedy", "--depth", "40"],
+                ["expand", base, "--mode", "quasi", "--depth", "40"],
+                ["oracle", base, "--depth", "10", "--counts"])
 ]
 
 

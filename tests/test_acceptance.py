@@ -14,9 +14,8 @@ from click.testing import CliRunner
 
 from univoque.algebraic import refine
 from univoque.approximator import approximate
-from univoque.characterization import (check_greedy_admissible,
-                                       check_univoque, classify, find_m,
-                                       verify_lemma_26)
+from univoque.characterization import (check_greedy_admissible, classify,
+                                       find_m, verify_lemma_26)
 from univoque.cli import main
 from univoque.expansions import (greedy_expansion,
                                  quasi_from_greedy, quasi_greedy_expansion,
@@ -74,7 +73,7 @@ def test_criterion_2_tribonacci_approximation_pipeline():
         assert len(records) == 7
         for r in records:
             assert r.certificate.verdict == "univoque"
-            assert check_univoque(r.gamma).is_univoque
+            assert classify(r.gamma).is_univoque
         for a, b in zip(records, records[1:]):
             assert _separated(a.base, b.base)
         gaps = [r.gap for r in records]
@@ -178,7 +177,7 @@ def test_criterion_6_monotone_order_preservation():
         pairs = list(zip(univoque, univoque[1:]))
         assert len(pairs) >= 30
         for (s1, b1), (s2, b2) in pairs:
-            assert check_univoque(s1).is_univoque
+            assert classify(s1).is_univoque
             assert lex_compare(s1, s2) == LT
             assert _separated(b1, b2)
     _report(6, body)

@@ -8,7 +8,7 @@ from univoque import approximator
 from univoque.algebraic import refine
 from univoque.approximator import (NTooSmallError, NotInClosureError,
                                    approximate, construct_gamma)
-from univoque.characterization import check_univoque
+from univoque.characterization import classify
 from univoque.words import LT, ep_sequence, lex_compare
 from univoque import polynomials as pl
 
@@ -45,6 +45,17 @@ def test_construct_gamma_n_too_small():
     assert exc.value.minimal == 2
 
 
+def test_minimal_n_is_the_least_n_construct_gamma_accepts():
+    for alpha in [(1, 1, 0), (1, 1, 1, 0), (1, 1, 0, 1, 0, 0)]:
+        n = approximator.minimal_n(alpha)
+        construct_gamma(alpha, n)
+        with pytest.raises(NTooSmallError) as exc:
+            construct_gamma(alpha, n - 1)
+        assert exc.value.minimal == n
+    # an explicit m sets its own minimum: k N >= m
+    assert approximator.minimal_n((1, 1, 0), m=7) == 3
+
+
 def test_construct_gamma_rejects_non_closure_targets():
     with pytest.raises(NotInClosureError):
         construct_gamma((1, 0), 2)       # golden ratio is not in the closure
@@ -77,7 +88,7 @@ def test_approximate_tribonacci_records():
     assert [r.N for r in records] == [2, 3, 4]
     for r in records:
         assert r.certificate.verdict == "univoque"
-        assert check_univoque(r.gamma).is_univoque
+        assert classify(r.gamma).is_univoque
         assert pl.evaluate(r.polynomial, r.base.lo) * \
             pl.evaluate(r.polynomial, r.base.hi) < 0
         assert pl.degree(r.polynomial) <= r.k * r.N + 2 * r.m

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from univoque import characterization
 from univoque.algebraic import refine
 from univoque.characterization import (ConditionWitness, SearchCapExceeded,
-                                       UnivoqueCertificate, check_closure,
+                                       UnivoqueCertificate,
                                        check_greedy_admissible,
                                        check_quasi_greedy_admissible,
-                                       check_univoque, classify, find_m,
+                                       classify, find_m,
                                        verify_lemma_26)
 from univoque.expansions import greedy_expansion, solve_base
 from univoque.words import (EQ, GT, LT, complement, ep_sequence,
@@ -38,29 +38,29 @@ def test_greedy_admissible_examples():
 
 
 def test_check_univoque_examples():
-    cert = check_univoque(ep_sequence((1, 1, 1), (0,)))
+    cert = classify(ep_sequence((1, 1, 1), (0,)))
     assert not cert.is_univoque
     assert any(w.condition == 22 and w.j == 3 for w in cert.witnesses)
 
-    cert = check_univoque(UNIVOQUE_N2)
+    cert = classify(UNIVOQUE_N2)
     assert cert.is_univoque and not cert.witnesses
 
-    cert = check_univoque(ep_sequence((), (1,)))
+    cert = classify(ep_sequence((), (1,)))
     assert not cert.is_univoque
     assert any(w.condition == 21 and w.j == 1 and w.relation == "="
                for w in cert.witnesses)
 
 
 def test_check_closure_examples():
-    assert check_closure(S110).verdict == "closure_only"
-    cert = check_closure(S10)
+    assert classify(S110).verdict == "closure_only"
+    cert = classify(S10)
     assert not cert.in_closure
     assert any(w.condition == 24 and w.j == 1 for w in cert.witnesses)
-    assert check_closure(ones_zero(3)).in_closure
+    assert classify(ones_zero(3)).in_closure
 
 
 def test_digits_above_first_digit_are_inadmissible():
-    cert = check_univoque(ep_sequence((), (1, 2)))
+    cert = classify(ep_sequence((), (1, 2)))
     assert cert.verdict == "inadmissible"
 
 

@@ -177,3 +177,32 @@ def test_parse_base_grammar():
     assert isinstance(parse_base("seq:(110)"), EPSequence)
     a = parse_base("poly:-1,-1,1 in (1,2)")
     assert a.poly == (-1, -1, 1)
+
+
+def test_expand_at_a_huge_algebraic_digit_cap_bisects_the_digit():
+    # the digit is found with O(log cap) sign tests, not one per value
+    t = time.perf_counter()
+    r = run("expand", "poly:-100000000,1 in (99999999,100000001)",
+            "--depth", "2", "--json")
+    assert time.perf_counter() - t < 1
+    assert r.exit_code == 0
+    want = json.loads(run("expand", "100000000", "--depth", "2",
+                          "--json").output)
+    assert json.loads(r.output)["digits"] == want["digits"] == \
+        "[100000000,0]"
+
+
+def test_oracle_refuses_more_candidate_digits_than_its_level_cap():
+    t = time.perf_counter()
+    r = run("oracle", "100000000", "--depth", "1", "--counts", "--json")
+    assert time.perf_counter() - t < 1
+    assert r.exit_code == 2
+    assert r.output.strip().splitlines() == [
+        "error: each prefix has 100000001 candidate digits, above the "
+        "level cap 100000"]
+
+
+def test_approximate_defaults_to_the_minimal_n():
+    payload = json.loads(run("approximate", "110", "--json").output)
+    assert payload["from"] == payload["to"] == 2
+    assert [r["N"] for r in payload["records"]] == [2]

@@ -1,15 +1,18 @@
 """Greedy / quasi-greedy algorithms, base solving, Thue-Morse enclosure."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from click.testing import CliRunner
+from hypothesis import assume, given, settings, strategies as st
 
 from univoque import expansions
 from univoque import polynomials as pl
-from univoque.algebraic import DomainError, refine, sign_at
+from univoque.algebraic import DomainError, algebraic_real, refine, sign_at
 from univoque.characterization import check_greedy_admissible
+from univoque.cli import main
 from univoque.expansions import (NoBaseError, greedy_expansion, kl_constant,
                                  poly_from_sequence, quasi_from_greedy,
                                  quasi_greedy_expansion, solve_base,
@@ -76,7 +79,9 @@ def test_greedy_examples():
     assert greedy_expansion(2, 3).digits == (2, 0, 0)
     assert greedy_expansion(S10, 4).digits == (1, 1, 0, 0)
     assert greedy_expansion(S110, 5).digits == (1, 1, 1, 0, 0)
-    assert greedy_expansion(S110, 5).exact
+    out = CliRunner().invoke(main, ["expand", "seq:(110)", "--depth", "5",
+                                    "--json"]).stdout
+    assert json.loads(out)["exact"] is True
 
 
 def test_quasi_greedy_examples():
@@ -193,12 +198,13 @@ def test_kl_constant_enclosures():
     assert lo <= lo8 and hi8 <= hi
 
 
-def test_kl_constant_counts_its_bisection_steps_up_front():
+def test_kl_constant_counts_its_bisection_steps_up_front(monkeypatch):
     assert kl_constant(F(1, 2)) == (F(3, 2), F(2), 32)
-    lo, hi, _ = kl_constant(F(1, 2 ** 11), max_iter=10)
+    monkeypatch.setattr(expansions, "_KL_MAX_STEPS", 10)
+    lo, hi, _ = kl_constant(F(1, 2 ** 11))
     assert hi - lo == F(1, 2 ** 11)
     with pytest.raises(DomainError, match="11 bisection steps.*max_iter = 10"):
-        kl_constant(F(1, 2 ** 11) - F(1, 10 ** 9), max_iter=10)
+        kl_constant(F(1, 2 ** 11) - F(1, 10 ** 9))
 
 
 def _kl_side_ref(q, tau):
@@ -310,6 +316,100 @@ def test_solve_base_refuses_a_polynomial_without_its_sign_change(
 
 def test_algebraic_expansion_refuses_a_digit_above_the_cap(monkeypatch):
     base = solve_base(ep_sequence((1, 1), (0,)))
-    monkeypatch.setattr(expansions, "sign_of_fraction_poly", lambda c, a: 1)
+    monkeypatch.setattr(expansions, "sign_at", lambda c, a: 1)
     with pytest.raises(RuntimeError, match="exceeds the cap"):
         greedy_expansion(base, 5)
+
+
+# --- the residual arithmetic against the Fraction reference -----------------
+
+
+def _reduce_mod(coeffs, f):
+    """The reference reduction: Fraction long division by the integer
+    polynomial f, returning deg f Fractions."""
+    d = pl.degree(f)
+    r = [F(c) for c in coeffs]
+    while len(r) > d:
+        top = r.pop()
+        shift = len(r) - d
+        for i in range(d):
+            r[shift + i] -= top / f[-1] * f[i]
+    return r + [F(0)] * (d - len(r))
+
+
+def _reference_digits(a, n: int, strict: bool):
+    """Digits and residuals of the reference algorithm: Fraction residuals
+    reduced modulo a.poly, each digit d the largest with x - d >= 0
+    (x - d > 0 when strict), found by counting up one sign test at a time."""
+    def sign(c):
+        return sign_at(pl.make_primitive(c), a)
+
+    r = [F(1)] + [F(0)] * (pl.degree(a.poly) - 1)
+    digits, residuals = [], []
+    for _ in range(n):
+        x = _reduce_mod([F(0)] + r, a.poly)
+        d = 0
+        while sign([x[0] - d - 1] + x[1:]) >= strict:
+            d += 1
+        r = [x[0] - d] + x[1:]
+        digits.append(d)
+        residuals.append(r)
+    return digits, residuals
+
+
+@st.composite
+def _algebraic_bases(draw):
+    """A seq: base (monic), or the root > 1 of L x^k - sum a_i x^i with
+    L >= 2 and sum a_i > L: one sign change, so one positive root, and it
+    exceeds 1; drawn negated half the time (negative leading coefficient)."""
+    if draw(st.booleans()):
+        pre = draw(st.lists(st.integers(0, 3), max_size=3))
+        per = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+        s = ep_sequence(pre, per)
+        assume(s.digit_sum >= 2)
+        return solve_base(s)
+    lead = draw(st.integers(2, 5))
+    low = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    assume(sum(low) > lead)
+    f = [-c for c in low] + [lead]
+    if draw(st.booleans()):
+        f = [-c for c in f]
+    return algebraic_real(f, 1, 2 + max(low))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_algebraic_bases(), st.booleans())
+def test_residuals_match_the_fraction_reference(a, strict):
+    n = 12
+    digits, residuals = _reference_digits(a, n, strict)
+    expand = quasi_greedy_expansion if strict else greedy_expansion
+    assert expand(a, n).digits == tuple(digits)
+    b = expansions.AlgebraicBase(a)
+    lead = abs(a.poly[-1])
+    r = b.root()
+    for i, (d, want) in enumerate(zip(digits, residuals), 1):
+        r = b.minus(b.times_q(r), d)
+        num, den = r
+        assert den == lead ** i
+        assert [F(c, den) for c in num] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 100), st.booleans())
+def test_rational_residuals_match_the_fraction_reference(a, b, strict):
+    q = F(a, b)
+    assume(q > 1)
+    n = 40
+    expand = quasi_greedy_expansion if strict else greedy_expansion
+    digits = expand(q, n).digits
+    base = expansions.RationalBase(q)
+    want, r = F(1), base.root()
+    for i, d in enumerate(digits, 1):
+        # the reference: Fraction residuals, the digit floor(q r) - 1 when
+        # q r is an integer and the expansion is quasi-greedy
+        x = q * want
+        assert d == x.numerator // x.denominator - (strict and
+                                                    x.denominator == 1)
+        want = x - d
+        r = base.minus(base.times_q(r), d)
+        assert r[1] == q.denominator ** i and F(*r) == want

@@ -81,11 +81,25 @@ def test_oracle_matches_greedy_algorithm_on_random_rationals():
 
 
 def test_oracle_strict_positive_matches_quasi_greedy():
+    """The quasi-greedy expansion from the oracle's greedy one: the same
+    when that has no last nonzero digit g_m, else (g_1..g_{m-1} (g_m - 1))^inf.
+    """
     rng = random.Random(102)
     bases = [F(2), F(3)] + [F(rng.randint(101, 399), 100) for _ in range(20)]
     for q in bases:
-        got = greedy_via_oracle(q, 40, strict_positive=True)
+        g = greedy_via_oracle(q, 40)
+        m = max(i for i, c in enumerate(g, 1) if c)
+        got = g
+        if sum(c / q ** i for i, c in enumerate(g[:m], 1)) == 1:
+            got = ((g[:m - 1] + (g[m - 1] - 1,)) * 40)[:40]
         assert got == quasi_greedy_expansion(q, 40).digits
+
+
+def test_oracle_refuses_more_candidate_digits_than_the_level_cap():
+    with pytest.raises(DomainError, match="6 candidate digits.*level cap 5"):
+        enumerate_expansions(F(5), 3, level_cap=5)
+    with pytest.raises(DomainError, match="100001 candidate digits"):
+        greedy_via_oracle(F(100_000), 1)
 
 
 def test_level_cap_marks_tree_inexhaustive():

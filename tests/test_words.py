@@ -5,22 +5,22 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from univoque.words import (EPSequence, LT, EQ, GT, ParseError, canonicalize,
+from univoque.words import (EPSequence, LT, EQ, GT, ParseError,
                             complement, ep_sequence, format_sequence,
                             format_word, lex_compare, lex_compare_word,
                             parse_sequence, parse_word, shift)
 
 
 def test_canonicalize_examples():
-    assert canonicalize((1,), (0, 1)) == ep_sequence((), (1, 0))
-    assert canonicalize((), (1, 1, 0, 1, 1, 0)) == ep_sequence((), (1, 1, 0))
-    s = canonicalize((1, 1), (0,))
+    assert ep_sequence((1,), (0, 1)) == ep_sequence((), (1, 0))
+    assert ep_sequence((), (1, 1, 0, 1, 1, 0)) == ep_sequence((), (1, 1, 0))
+    s = ep_sequence((1, 1), (0,))
     assert s.preperiod == (1, 1) and s.period == (0,)
 
 
 def test_canonicalize_requires_period():
     with pytest.raises(ParseError):
-        canonicalize((1,), ())
+        ep_sequence((1,), ())
 
 
 def test_shift_examples():
