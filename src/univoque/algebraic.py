@@ -2,9 +2,10 @@
 
 The polynomial need not be irreducible or square-free; the interval must
 contain exactly one distinct real root.  `algebraic_real` certifies that
-by a Sturm count; `expansions.solve_base` certifies it by monotonicity
-instead.  All decisions are exact: bisection midpoints are rationals and
-sign tests never touch floating point.
+for `poly:` input by a Sturm count, the only use of Sturm chains;
+`expansions.solve_base` certifies it by monotonicity instead.  All
+decisions are exact: bisection midpoints are rationals and sign tests
+never touch floating point.
 
 Bisection keeps the half where the defining polynomial changes sign.
 When it already changes sign strictly over the isolating interval, the
@@ -16,11 +17,11 @@ stages, cheapest first.  An interval enclosure of c over the isolating
 interval decides it whenever the enclosure excludes 0.  Otherwise the
 interval is bisected as above and the enclosure is tried again.  Once the
 interval is narrower than a width tied to the bit size of c and the
-enclosure still contains 0, one exact zero test (a gcd with the defining
-polynomial and a Sturm count) settles whether c vanishes at the root.  The
-tightest interval found for each root is kept in a bounded memo, so
-successive sign tests at one root share the bisection work; the memo
-never changes an AlgebraicReal.
+enclosure still contains 0, one exact zero test settles whether c
+vanishes at the root: the square-free part of gcd(a.poly, c) changes sign
+over the interval.  The tightest interval found for each root is kept in
+a bounded memo, so successive sign tests at one root share the bisection
+work; the memo never changes an AlgebraicReal.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 from typing import NamedTuple
 
 from . import polynomials as pl
@@ -60,7 +61,8 @@ def sturm_count(p: tuple, lo: Fraction, hi: Fraction) -> int:
         raise EndpointRootError(
             "interval endpoint is a root; perturb the endpoints")
     chain = pl.sturm_chain(p)
-    return pl.sign_variations(chain, lo) - pl.sign_variations(chain, hi)
+    return (pl.sign_variations(chain, lo.numerator, lo.denominator)
+            - pl.sign_variations(chain, hi.numerator, hi.denominator))
 
 
 @dataclass(frozen=True)
@@ -195,10 +197,13 @@ def sign_at(c, a: AlgebraicReal) -> int:
     the sign whenever it excludes 0.  While it does not, the interval is
     bisected and the enclosure tried again.  Once the interval is narrower
     than 2^-(b + 32), b the bit size of the largest coefficient of c, and
-    the enclosure still contains 0, one exact zero test runs: a root of
-    gcd(a.poly, c) inside a's interval means c vanishes at the root.  If
-    it does not, bisection goes on until the enclosure excludes 0, which
-    it does once the interval is narrow enough.
+    the enclosure still contains 0, one exact zero test runs on
+    h = squarefree_part(gcd(a.poly, c)).  The interval isolates one
+    distinct root of a.poly and h divides a.poly, so a root of h inside
+    it is that root, simple in h: c vanishes at the root exactly when h
+    changes sign strictly over the interval.  If it does not, bisection
+    goes on until the enclosure excludes 0, which it does once the
+    interval is narrow enough.
 
     Each call starts from the tightest interval found for an equal
     AlgebraicReal and leaves its own tightest interval behind in a bounded
@@ -219,8 +224,9 @@ def sign_at(c, a: AlgebraicReal) -> int:
                 return s
             if not tested and (box.hi - box.lo) << zero_test_bits <= box.den:
                 tested = True
-                g = pl.poly_gcd(a.poly, c)
-                if pl.degree(g) >= 1 and sturm_count(g, a.lo, a.hi) >= 1:
+                h = pl.squarefree_part(pl.poly_gcd(a.poly, c))
+                if (_sign(pl.scaled_value(h, box.lo, box.den))
+                        * _sign(pl.scaled_value(h, box.hi, box.den)) < 0):
                     return 0
             box = _bisect(box)
     finally:
@@ -230,28 +236,15 @@ def sign_at(c, a: AlgebraicReal) -> int:
 
 
 def floor_of(a: AlgebraicReal) -> tuple:
-    """Integer part of a value >= 1, plus a flag for exact integrality."""
-    if sign_at(pl.poly([-1, 1]), a) < 0:
-        raise DomainError("floor_of requires a value >= 1")
-    # bisect below width 1; the sign tests below reuse a's memo entry
-    box = _box(a)
-    while box.hi - box.lo >= box.den:
-        box = _bisect(box)
-    nlo = box.lo // box.den
-    nhi = box.hi // box.den
-    if nlo == nhi:
-        # the interval might still straddle-touch nhi exactly at an endpoint;
-        # the only integer the root could equal is in [nlo, nlo+1)
-        t = nlo
-        s = sign_at(pl.poly([-t, 1]), a)
-        if s == 0:
-            return t, True
-        return t, False
-    # exactly one integer candidate t = nhi lies inside (lo, hi)
-    t = nhi
+    """Integer part of a value >= 1, plus a flag for exact integrality.
+
+    At width <= 1 the interval (lo, hi) holds the root r in (hi - 1, hi),
+    so with t = floor(hi) the integer part is t when r >= t and t - 1
+    otherwise; one sign test of r - t decides which, and whether r = t."""
+    t = floor(refine(a, 1).hi)
     s = sign_at(pl.poly([-t, 1]), a)
-    if s == 0:
-        return t, True
-    if s > 0:
-        return t, False
-    return t - 1, False
+    if s < 0:
+        t -= 1
+    if t < 1:
+        raise DomainError("floor_of requires a value >= 1")
+    return t, s == 0

@@ -16,13 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import AlgebraicReal, refine
-from .characterization import UnivoqueCertificate, classify, find_m
+from .characterization import (NotInClosureError, UnivoqueCertificate,
+                               classify, find_m)
 from .expansions import poly_from_sequence, solve_base
 from .words import EPSequence, complement_word, ep_sequence, format_sequence, word
-
-
-class NotInClosureError(ValueError):
-    """The target word is not the quasi-greedy expansion of a closure point."""
 
 
 class NTooSmallError(ValueError):
@@ -78,7 +75,8 @@ def _target_sequence(alpha) -> tuple:
 def minimal_n(alpha, m: int | None = None) -> int:
     """The least block count N for the target (alpha)^inf: the repeated
     block must cover the m-block, k N >= m.  m defaults to the least one
-    that satisfies the block condition (find_m)."""
+    that satisfies the block condition (find_m), which raises
+    NotInClosureError for a target outside the closure."""
     s, k, _ = _target_sequence(alpha)
     if m is None:
         m = find_m(s, k)

@@ -22,6 +22,10 @@ SHIFT_WEAK = 23            # shifted tail <= sequence   (closure)
 COMPL_STRICT_QUASI = 24    # complemented tail < sequence (closure)
 
 
+class NotInClosureError(ValueError):
+    """The target word is not the quasi-greedy expansion of a closure point."""
+
+
 class SearchCapExceeded(RuntimeError):
     """An existence-guaranteed search ran past its engineering cap."""
 
@@ -178,7 +182,7 @@ def find_m(s: EPSequence, k: int, cap: int | None = None) -> int:
     of the same length."""
     cert = classify(s)
     if not cert.in_closure:
-        raise ValueError("sequence is not closure-admissible")
+        raise NotInClosureError("sequence is not closure-admissible")
     if k < 1:
         raise ValueError("k must be >= 1")
     if cap is None:

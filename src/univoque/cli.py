@@ -2,8 +2,8 @@
 
 All numeric output is exact (rationals as "num/den", intervals as string
 pairs); decimal renderings are attached for readability only.  Exit codes:
-0 success / check passed, 1 semantic failure (check failed, not unique),
-2 usage, parse or domain errors.
+0 success / check passed, 1 semantic failure (check failed, not unique,
+target outside the closure), 2 usage, parse or domain errors.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import click
 
 from . import approximator, characterization, expansions, oracle
 from .algebraic import DomainError, algebraic_real
+from .characterization import NotInClosureError
 from .words import EPSequence, ParseError, format_sequence, format_word, \
-    parse_sequence
+    parse_sequence, parse_word
 
 
 def _max_work(default: int) -> int:
@@ -30,11 +31,6 @@ def _max_work(default: int) -> int:
         return min(default, int(raw)) if int(raw) > 0 else default
     except ValueError:
         return default
-
-
-def _fail(msg: str, code: int):
-    click.echo("error: %s" % msg, err=True)
-    sys.exit(code)
 
 
 def _frac(text: str) -> Fraction:
@@ -94,7 +90,20 @@ def _plain(val):
     return val
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error map of every command: a NotInClosureError exits 1,
+    any other ValueError (parse, domain, usage) exits 2, each with a
+    one-line message on stderr."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            click.echo("error: %s" % exc, err=True)
+            sys.exit(1 if isinstance(exc, NotInClosureError) else 2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact toolkit for expansions of 1 in real bases q > 1."""
 
@@ -107,14 +116,9 @@ def main():
 @click.option("--json", "as_json", is_flag=True)
 def expand(base, mode, depth, as_json):
     """Greedy or quasi-greedy digit prefix of the expansion of 1."""
-    try:
-        b = parse_base(base)
-        fn = (expansions.greedy_expansion if mode == "greedy"
-              else expansions.quasi_greedy_expansion)
-        prefix = fn(b, depth)
-    except (ParseError, DomainError, expansions.NoBaseError,
-            ValueError) as exc:
-        _fail(str(exc), 2)
+    fn = (expansions.greedy_expansion if mode == "greedy"
+          else expansions.quasi_greedy_expansion)
+    prefix = fn(parse_base(base), depth)
     _emit({"command": "expand", "base": base, "mode": mode, "depth": depth,
            "digits": format_word(prefix.digits), "exact": True},
           as_json)
@@ -128,13 +132,10 @@ def expand(base, mode, depth, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def check(seq, which, as_json):
     """Lexicographic admissibility / univoqueness checks on a sequence."""
-    try:
-        s = parse_sequence(seq)
-        if not isinstance(s, EPSequence):
-            raise ParseError("an infinite sequence is required; add an "
-                             "explicit period, e.g. '111(0)'")
-    except ParseError as exc:
-        _fail(str(exc), 2)
+    s = parse_sequence(seq)
+    if not isinstance(s, EPSequence):
+        raise ParseError("an infinite sequence is required; add an "
+                         "explicit period, e.g. '111(0)'")
     payload = {"command": "check", "sequence": format_sequence(s),
                "which": which}
     if which in ("univoque", "closure"):
@@ -161,24 +162,12 @@ def check(seq, which, as_json):
 def approximate(alpha, n_from, n_to, as_json):
     """Certified algebraic univoque approximants of the base whose
     quasi-greedy expansion is (ALPHA)^infinity."""
-    try:
-        from .words import parse_word
-        alpha_w = parse_word(alpha)
-    except ParseError as exc:
-        _fail(str(exc), 2)
+    alpha_w = parse_word(alpha)
     if n_from is None:
-        try:
-            n_from = approximator.minimal_n(alpha_w)
-        except ValueError as exc:       # the target is outside the closure
-            _fail(str(exc), 1)
+        n_from = approximator.minimal_n(alpha_w)
     if n_to is None:
         n_to = n_from
-    try:
-        records = approximator.approximate(alpha_w, n_from, n_to)
-    except approximator.NotInClosureError as exc:
-        _fail(str(exc), 1)
-    except ValueError as exc:           # N below the minimum, empty N range
-        _fail(str(exc), 2)
+    records = approximator.approximate(alpha_w, n_from, n_to)
     payload = {"command": "approximate", "alpha": alpha,
                "from": n_from, "to": n_to,
                "records": [r.as_dict() for r in records]}
@@ -191,11 +180,7 @@ def approximate(alpha, n_from, n_to, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def kl(eps, as_json):
     """Enclosure of the smallest univoque base (~1.787)."""
-    try:
-        e = _frac(eps)
-        lo, hi, n_used = expansions.kl_constant(e)
-    except (ParseError, DomainError) as exc:
-        _fail(str(exc), 2)
+    lo, hi, n_used = expansions.kl_constant(_frac(eps))
     _emit({"command": "kl", "eps": eps,
            "interval": [_fmt_frac(lo), _fmt_frac(hi)],
            "decimal": [float(lo), float(hi)],
@@ -211,15 +196,10 @@ def oracle_cmd(base, depth, counts, as_json):
     """Enumerate all viable expansion prefixes of 1 (brute force)."""
     if depth < 1:
         # zero levels would certify uniqueness vacuously
-        _fail("depth must be >= 1, got %d" % depth, 2)
-    try:
-        b = parse_base(base)
-        cap = _max_work(oracle.LEVEL_CAP)
-        tree = oracle.enumerate_expansions(b, depth, level_cap=cap,
-                                           counts_only=counts)
-    except (ParseError, DomainError, expansions.NoBaseError,
-            ValueError) as exc:
-        _fail(str(exc), 2)
+        raise DomainError("depth must be >= 1, got %d" % depth)
+    tree = oracle.enumerate_expansions(parse_base(base), depth,
+                                       level_cap=_max_work(oracle.LEVEL_CAP),
+                                       counts_only=counts)
     unique = tree.exhaustive and all(c == 1 for c in tree.counts)
     payload = {"command": "oracle", "base": base, "depth": depth,
                "counts": list(tree.counts), "exhaustive": tree.exhaustive,
@@ -237,13 +217,10 @@ def oracle_cmd(base, depth, counts, as_json):
 def solve(seq, as_json):
     """Defining polynomial and isolating interval of the base whose value
     at the given sequence is 1."""
-    try:
-        s = parse_sequence(seq)
-        if not isinstance(s, EPSequence):
-            raise ParseError("an infinite sequence is required")
-        a = expansions.solve_base(s)
-    except (ParseError, expansions.NoBaseError, ValueError) as exc:
-        _fail(str(exc), 2)
+    s = parse_sequence(seq)
+    if not isinstance(s, EPSequence):
+        raise ParseError("an infinite sequence is required")
+    a = expansions.solve_base(s)
     _emit({"command": "solve", "sequence": format_sequence(s),
            "polynomial": list(a.poly),
            "interval": [_fmt_frac(a.lo), _fmt_frac(a.hi)],

@@ -50,56 +50,52 @@ def poly_from_sequence(s: EPSequence) -> tuple:
     """Integer polynomial vanishing exactly where value(s, q) = 1 (q > 1).
 
     P(q) = q^p (q^r - 1) - (q^r - 1) U(q) - W(q) with U, W the preperiod
-    and period digit polynomials.
+    and period digit polynomials, U(q) = sum_i u_i q^(p-i) and
+    W(q) = sum_i w_i q^(r-i).
     """
     if not any(s.preperiod) and not any(s.period):
         raise ValueError("all-zero sequence has no defining polynomial")
     p, r = len(s.preperiod), len(s.period)
-    u = pl.poly(reversed(s.preperiod))          # U(q) = sum u_i q^{p-i}
-    w = pl.poly(reversed(s.period))             # W(q) = sum w_i q^{r-i}
-    lead = pl.sub(pl.shift_up((1,), p + r), pl.shift_up((1,), p))
-    mid = pl.sub(pl.shift_up(u, r), u)
-    return pl.sub(pl.sub(lead, mid), w)
+    c = [0] * (p + r + 1)
+    c[p + r] = 1                                # q^p (q^r - 1)
+    c[p] -= 1
+    for i, d in enumerate(reversed(s.preperiod)):
+        c[i] += d                               # - (q^r - 1) U(q)
+        c[i + r] -= d
+    for i, d in enumerate(reversed(s.period)):
+        c[i] -= d                               # - W(q)
+    return pl.poly(c)
 
 
 def solve_base(s: EPSequence) -> AlgebraicReal:
-    """The unique q > 1 with value(s, q) = 1, as a certified algebraic real.
+    """The unique q > 1 where s has value 1, as a certified algebraic real.
 
-    The bracket 1 < lo < hi has value(s, lo) > 1 > value(s, hi).  For
-    q > 1 the defining polynomial is P(q) = q^p (q^r - 1) (1 - value(s, q))
-    with q^p (q^r - 1) > 0, and value(s, .) has the derivative
-    -sum_i i s_i q^(-i-1) < 0.  So P(lo) < 0 < P(hi) certifies that P has
-    exactly one root in (lo, hi) and that the root is simple: no Sturm
-    count and no square-free part are needed.  Those two signs are checked
-    on P itself, in integers, so a P that disagrees with value raises.
+    For q > 1 let V(q) = sum_i s_i q^-i (the function `value`).  The
+    defining polynomial is P(q) = q^p (q^r - 1) (1 - V(q)) with
+    q^p (q^r - 1) > 0, and V has the derivative -sum_i i s_i q^(-i-1) < 0.
+    So P(q) < 0 exactly when V(q) > 1, and the bracket is found by probing
+    the sign of P itself, in integers: hi = max digit + 1 (+ 1 more when P
+    vanishes there) with P(hi) > 0, then the first lo = 1 + 2^-t,
+    t = 1..64, with P(lo) < 0.  These probes are the certificate:
+    P(lo) < 0 < P(hi) means that P has exactly one root in (lo, hi) and
+    that it is simple, so no Sturm count and no square-free part are
+    needed.  A P that is not positive at hi raises RuntimeError.
     """
     if s.digit_sum < 2:
         raise NoBaseError("digit sum < 2: no base q > 1 exists")
     p = poly_from_sequence(s)
-    m = s.max_digit
-    hi = Fraction(m + 1)
-    if value(s, hi) == 1:
-        hi = Fraction(m + 2)
-    lo = None
-    t = 1
-    while lo is None:
-        cand = 1 + Fraction(1, 2 ** t)
-        if cand < hi:
-            v = value(s, cand)
-            if v > 1:
-                lo = cand
-            elif v == 1:
-                # the probe hit the root exactly; step closer to 1
-                pass
-        t += 1
-        if t > 64 and lo is None:
-            raise NoBaseError("no bracket found left of the root")
-    if not (pl.scaled_value(p, lo.numerator, lo.denominator) < 0
-            < pl.scaled_value(p, hi.numerator, hi.denominator)):
+    hi = s.max_digit + 1
+    if pl.scaled_value(p, hi, 1) == 0:
+        hi += 1
+    if pl.scaled_value(p, hi, 1) <= 0:
         raise RuntimeError("internal error: the defining polynomial does "
-                           "not change sign from - to + over (%s, %s)"
-                           % (lo, hi))
-    return refine(AlgebraicReal(p, lo, hi), Fraction(1, 2))
+                           "not change sign from - to + over (1, %d)" % hi)
+    for t in range(1, 65):
+        # 1 + 2^-t < hi always; a probe at the root itself steps closer to 1
+        if pl.scaled_value(p, 2 ** t + 1, 2 ** t) < 0:
+            return refine(AlgebraicReal(p, 1 + Fraction(1, 2 ** t), hi),
+                          Fraction(1, 2))
+    raise NoBaseError("no bracket found left of the root")
 
 
 # --- residual arithmetic ----------------------------------------------------

@@ -1,18 +1,19 @@
-"""Integer polynomials with exact rational evaluation and Sturm chains.
+"""Integer polynomials with exact evaluation and Sturm chains.
 
 Polynomials are tuples of arbitrary-precision integers, constant term
-first.  The zero polynomial is the empty tuple.  One long division over
-the rationals (`_divmod`, in fractions.Fraction) serves the gcd, the
-square-free part and the Sturm chains; no floating point.  Sign tests at
-a rational point n/d stay in the integers: they use d^deg * p(n/d), which
-has the sign of p(n/d).
+first.  The zero polynomial is the empty tuple.  Everything stays in the
+integers.  One pseudo-division (`_divmod`) serves the gcd, the square-free
+part and the Sturm chains.  It divides |lead(b)|^k a, a positive multiple
+of a, so its remainder is a positive multiple of the rational one; reduced
+to its primitive part, it keeps every sign and small coefficients.  Sign
+tests at a rational point n/d use d^deg * p(n/d), which has the sign of
+p(n/d).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
+from math import gcd
 
 
 def poly(coeffs) -> tuple:
@@ -63,68 +64,46 @@ def negate(p: tuple) -> tuple:
     return tuple(-c for c in p)
 
 
-def add(a: tuple, b: tuple) -> tuple:
-    n = max(len(a), len(b))
-    return poly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                for i in range(n))
-
-
-def sub(a: tuple, b: tuple) -> tuple:
-    return add(a, negate(b))
-
-
-def shift_up(p: tuple, k: int) -> tuple:
-    """Multiply by x**k."""
-    if is_zero(p):
-        return ()
-    return (0,) * k + tuple(p)
-
-
 def _divmod(a, b) -> tuple:
-    """Quotient and remainder of a by b != 0 over the rationals.
+    """Pseudo-quotient and pseudo-remainder of l^k a by b != 0, with
+    l = |lead(b)| and k = max(len(a) - deg b, 0).
 
-    a and b hold ints or Fractions, constant term first; so do the returned
-    lists, and the remainder has no trailing zeros."""
+    a and b hold ints, constant term first; so do the returned lists, and
+    the remainder has no trailing zeros.  As l^k > 0, the remainder is a
+    positive multiple of the rational one and keeps its signs."""
     a = list(a)
-    db, lb = len(b) - 1, Fraction(b[-1])
+    db, lb = len(b) - 1, b[-1]
+    l, s = abs(lb), (lb > 0) - (lb < 0)
     quo = [0] * max(len(a) - db, 0)
-    while len(a) > db:
-        la = a.pop()
-        if la:
-            c = la / lb
-            k = len(a) - db
-            quo[k] = c
+    for k in reversed(range(len(quo))):
+        t = a.pop() * s
+        if l != 1:
+            quo = [l * x for x in quo]
+            a = [l * x for x in a]
+        quo[k] = t
+        if t:
             for i in range(db):
-                a[k + i] -= c * b[i]
+                a[k + i] -= t * b[i]
     while a and a[-1] == 0:
         a.pop()
     return quo, a
 
 
-def make_primitive(coeffs) -> tuple:
-    """Scale a rational-coefficient polynomial by a positive rational so the
-    coefficients become coprime integers.  Sign pattern is preserved."""
-    c = [Fraction(x) for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
-        return ()
-    den = 1
-    for x in c:
-        den = den * x.denominator // _int_gcd(den, x.denominator)
-    ints = [int(x * den) for x in c]
-    g = 0
-    for x in ints:
-        g = _int_gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+def primitive(c) -> tuple:
+    """c divided by the gcd of its coefficients: the primitive polynomial
+    that is a positive multiple of c."""
+    g = gcd(*c)
+    return tuple(x // g for x in c) if g else ()
 
 
 def poly_gcd(a: tuple, b: tuple) -> tuple:
-    """Primitive gcd of two integer polynomials, positive leading coefficient."""
-    fa, fb = a, b
-    while fb:
-        fa, fb = fb, _divmod(fa, fb)[1]
-    g = make_primitive(fa)
+    """Primitive gcd of two integer polynomials, positive leading coefficient.
+
+    A primitive remainder sequence: each pseudo-remainder is reduced to its
+    primitive part, which keeps the coefficients from growing."""
+    while b:
+        a, b = b, primitive(_divmod(a, b)[1])
+    g = primitive(a)
     if g and g[-1] < 0:
         g = negate(g)
     return g
@@ -144,7 +123,7 @@ def squarefree_part(p: tuple) -> tuple:
     g = poly_gcd(p, d)
     if degree(g) == 0:
         return p
-    return make_primitive(_divmod(p, g)[0])
+    return primitive(_divmod(p, g)[0])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -152,21 +131,17 @@ def sturm_chain(p: tuple) -> tuple:
     """Sturm chain of the squarefree part of p, as primitive integer polys."""
     f = squarefree_part(p)
     chain = [f, derivative(f)]
-    while not is_zero(chain[-1]):
-        r = make_primitive(_divmod(chain[-2], chain[-1])[1])
-        if is_zero(r):
-            break
-        chain.append(negate(r))
-    return tuple(c for c in chain if not is_zero(c))
+    while chain[-1]:
+        chain.append(negate(primitive(_divmod(chain[-2], chain[-1])[1])))
+    return tuple(c for c in chain if c)
 
 
-def sign_variations(chain, x) -> int:
-    """Sign changes of the chain at the rational x, zeros skipped."""
-    x = Fraction(x)
+def sign_variations(chain, n: int, d: int) -> int:
+    """Sign changes of the chain at n/d (d > 0), zeros skipped."""
     prev = 0
     count = 0
     for p in chain:
-        v = scaled_value(p, x.numerator, x.denominator)
+        v = scaled_value(p, n, d)
         s = (v > 0) - (v < 0)
         if s == 0:
             continue

@@ -1,4 +1,5 @@
-"""Record the golden CLI corpus: `--json` stdout and exit code per command.
+"""Record the golden CLI corpus: `--json` stdout, stderr and exit code per
+command.
 
 Run from the repository root, on the commit whose output is the reference:
 
@@ -73,6 +74,20 @@ COMMANDS = README + [
     for cmd in (["expand", base, "--mode", "greedy", "--depth", "40"],
                 ["expand", base, "--mode", "quasi", "--depth", "40"],
                 ["oracle", base, "--depth", "10", "--counts"])
+] + [
+    # error paths: each ends in exit 1 or 2 with a one-line message
+    ["expand", "not-a-base"],
+    ["expand", "1", "--mode", "quasi"],
+    ["expand", "poly:-1,1 in (1,2)"],
+    ["kl", "--eps", "0"],
+    ["check", "1101", "--which", "closure"],
+    ["approximate", "10"],
+    ["approximate", "10", "--from", "2"],
+    ["approximate", "110", "--from", "0"],
+    ["approximate", "110", "--from", "3", "--to", "2"],
+    ["oracle", "100000000", "--depth", "1", "--counts"],
+    ["oracle", "seq:(110)", "--depth", "0"],
+    ["solve", "(0)"],
 ]
 
 
@@ -81,7 +96,7 @@ def record(argv):
                           + ["--json"], capture_output=True, text=True,
                           check=False)
     return {"argv": argv + ["--json"], "exit": proc.returncode,
-            "stdout": proc.stdout}
+            "stdout": proc.stdout, "stderr": proc.stderr}
 
 
 def main():

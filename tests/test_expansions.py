@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from click.testing import CliRunner
@@ -10,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from univoque import expansions
 from univoque import polynomials as pl
-from univoque.algebraic import DomainError, algebraic_real, refine, sign_at
+from univoque.algebraic import (AlgebraicReal, DomainError, algebraic_real,
+                                refine, sign_at)
 from univoque.characterization import check_greedy_admissible
 from univoque.cli import main
 from univoque.expansions import (NoBaseError, greedy_expansion, kl_constant,
@@ -72,6 +74,41 @@ def test_solve_base_all_max_digit_sequence():
     # (2)^inf solves exactly at q = 3
     a = solve_base(ep_sequence((), (2,)))
     assert sign_at((-3, 1), a) == 0
+
+
+sequences = st.builds(ep_sequence, st.lists(st.integers(0, 3), max_size=4),
+                      st.lists(st.integers(0, 3), min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+def test_poly_from_sequence_is_one_minus_value_times_a_positive_factor(
+        s, n, d):
+    assume(any(s.preperiod) or any(s.period))
+    q = 1 + F(n, d)
+    p, r = len(s.preperiod), len(s.period)
+    assert pl.evaluate(poly_from_sequence(s), q) == \
+        q ** p * (q ** r - 1) * (1 - value(s, q))
+
+
+def _value_bracket(s):
+    """The reference bracket, probed with value: hi = max digit + 1 (+ 1
+    when value is 1 there), lo the first 1 + 2^-t with value above 1."""
+    hi = F(s.max_digit + 1)
+    if value(s, hi) == 1:
+        hi += 1
+    for t in range(1, 65):
+        if value(s, 1 + F(1, 2 ** t)) > 1:
+            return 1 + F(1, 2 ** t), hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences)
+def test_solve_base_bracket_matches_the_value_probes(s):
+    assume(s.digit_sum >= 2)
+    lo, hi = _value_bracket(s)
+    want = refine(AlgebraicReal(poly_from_sequence(s), lo, hi), F(1, 2))
+    assert solve_base(s) == want
 
 
 def test_greedy_examples():
@@ -342,7 +379,9 @@ def _reference_digits(a, n: int, strict: bool):
     reduced modulo a.poly, each digit d the largest with x - d >= 0
     (x - d > 0 when strict), found by counting up one sign test at a time."""
     def sign(c):
-        return sign_at(pl.make_primitive(c), a)
+        # a positive integer multiple of c has its sign
+        den = lcm(*(x.denominator for x in c))
+        return sign_at([int(x * den) for x in c], a)
 
     r = [F(1)] + [F(0)] * (pl.degree(a.poly) - 1)
     digits, residuals = [], []

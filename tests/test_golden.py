@@ -1,7 +1,7 @@
 """Byte-identical CLI output on the golden corpus (tests/golden/cli.json).
 
-The corpus holds the `--json` stdout and exit code of each command, as
-recorded by tests/golden/record.py.
+The corpus holds the `--json` stdout, stderr and exit code of each command,
+as recorded by tests/golden/record.py.
 """
 
 import json
@@ -22,3 +22,4 @@ def test_golden_cli_output(case):
     r = CliRunner().invoke(main, case["argv"])
     assert r.exit_code == case["exit"]
     assert r.stdout == case["stdout"]
+    assert r.stderr == case["stderr"]
