@@ -1,7 +1,7 @@
 """Certified algebraic univoque approximants of closure points.
 
 For a base q whose quasi-greedy expansion is the purely periodic word
-(a_1..a_k)^inf (a closure point that is not itself univoque), the sequence
+(a_1..a_k)^inf (a closure point outside the univoque set), the sequence
 
     (a_1..a_k)^N (a_1..a_m  complement(a_1..a_m))^inf
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 from .algebraic import AlgebraicReal, refine
 from .characterization import (NotInClosureError, UnivoqueCertificate,
                                classify, find_m)
-from .expansions import poly_from_sequence, solve_base
+from .expansions import solve_base
 from .words import EPSequence, complement_word, ep_sequence, format_sequence, word
 
 
@@ -37,7 +37,6 @@ class ApproximationRecord:
     m: int
     N: int
     gamma: EPSequence
-    polynomial: tuple
     base: AlgebraicReal
     certificate: UnivoqueCertificate
     target_base: AlgebraicReal
@@ -50,7 +49,7 @@ class ApproximationRecord:
             "m": self.m,
             "N": self.N,
             "gamma": format_sequence(self.gamma),
-            "polynomial": list(self.polynomial),
+            "polynomial": list(self.base.poly),
             "base_interval": [str(self.base.lo), str(self.base.hi)],
             "target_interval": [str(self.target_base.lo),
                                 str(self.target_base.hi)],
@@ -61,66 +60,56 @@ class ApproximationRecord:
 
 
 def _target_sequence(alpha) -> tuple:
-    """Canonical periodic target; returns (sequence, k, period word)."""
+    """(s, k): the target s = (alpha)^inf in canonical form, whose period,
+    of length k, is the primitive root of alpha (s is purely periodic)."""
     alpha = word(alpha)
     if not alpha:
         raise NotInClosureError("empty target word")
     s = ep_sequence((), alpha)
-    if s.preperiod:
-        raise NotInClosureError("target word does not define a purely "
-                                "periodic sequence")
-    return s, len(s.period), s.period
+    return s, len(s.period)
 
 
-def minimal_n(alpha, m: int | None = None) -> int:
-    """The least block count N for the target (alpha)^inf: the repeated
-    block must cover the m-block, k N >= m.  m defaults to the least one
-    that satisfies the block condition (find_m), which raises
-    NotInClosureError for a target outside the closure."""
-    s, k, _ = _target_sequence(alpha)
-    if m is None:
-        m = find_m(s, k)
-    return -(-m // k)
-
-
-def construct_gamma(alpha, N: int, m: int | None = None):
-    """Build the approximant digit sequence for block count N.
-
-    Returns (gamma, k, m).  The target must be a closure point outside the
-    univoque set and the repeated block must be long enough: k*N >= m.
-    """
-    s, k, alpha_c = _target_sequence(alpha)
-    cert = classify(s)
-    if not cert.in_closure:
+def _target(alpha) -> tuple:
+    """(s, k, m), m the least block length (find_m), for a target s that
+    must be closure-admissible.  No purely periodic s is univoque, as
+    sigma^k(s) = s fails the strict shift condition 21, so s is then a
+    closure point outside the univoque set, as the construction needs."""
+    s, k = _target_sequence(alpha)
+    if not classify(s).in_closure:
         raise NotInClosureError(
             "target %s is not closure-admissible" % format_sequence(s))
-    if cert.is_univoque:
-        raise NotInClosureError(
-            "target %s is itself univoque; the construction needs a "
-            "closure point with a finite greedy expansion"
-            % format_sequence(s))
-    if m is None:
-        m = find_m(s, k)
-    else:
-        if m < k:
-            raise ValueError("m must be >= k = %d" % k)
-        try:
-            find_m(s, m, cap=m)
-        except Exception:
-            raise ValueError("m = %d does not satisfy the block condition "
-                             "for this target" % m) from None
-    if N < 1 or k * N < m:
-        raise NTooSmallError(N, minimal_n(alpha, m))
-    b = s.digit(1)
+    return s, k, find_m(s, k)
+
+
+def _gamma(s: EPSequence, k: int, m: int, N: int) -> EPSequence:
+    """gamma_N = (a_1..a_k)^N (a_1..a_m complement(a_1..a_m))^inf.  The
+    repeated block must cover the m-block: k N >= m (so N >= 1)."""
+    if k * N < m:
+        raise NTooSmallError(N, -(-m // k))
     alpha_m = s.prefix(m)
-    gamma = ep_sequence(alpha_c * N, alpha_m + complement_word(alpha_m, b))
+    gamma = ep_sequence(s.period * N,
+                        alpha_m + complement_word(alpha_m, s.digit(1)))
     # the construction leaves the first m + kN digits of the target intact
     for i in range(1, m + k * N + 1):
         if gamma.digit(i) != s.digit(i):
             raise RuntimeError(
                 "internal error: gamma differs from the target at digit "
                 "%d of the first m + kN = %d" % (i, m + k * N))
-    return gamma, k, m
+    return gamma
+
+
+def minimal_n(alpha) -> int:
+    """The least block count N for the target (alpha)^inf: k N >= m, with
+    m from find_m, which raises NotInClosureError outside the closure."""
+    s, k = _target_sequence(alpha)
+    return -(-find_m(s, k) // k)
+
+
+def construct_gamma(alpha, N: int):
+    """The approximant digit sequence for block count N, as (gamma, k, m).
+    Raises NotInClosureError or NTooSmallError as `approximate` does."""
+    s, k, m = _target(alpha)
+    return _gamma(s, k, m, N), k, m
 
 
 # the reported gap is at least this many times the interval width
@@ -140,19 +129,17 @@ def _gap_bound(target: AlgebraicReal, base: AlgebraicReal) -> tuple:
         w = gap / (2 * _GAP_SHRINK) if gap > 0 else w / 16
 
 
-def approximate(alpha, n_from: int, n_to: int, m: int | None = None):
+def approximate(alpha, n_from: int, n_to: int):
     """Run the full pipeline for N = n_from..n_to, returning one certified
-    ApproximationRecord per N (ordered by N)."""
+    ApproximationRecord per N (ordered by N).  The target is checked once;
+    each gamma_N is then built from (s, m)."""
     if n_to < n_from:
         raise ValueError("empty N range")
-    s, k, alpha_c = _target_sequence(alpha)
-    # raises early with the minimal-N hint if n_from is too small
-    gamma0, k, m = construct_gamma(alpha, n_from, m)
+    s, k, m = _target(alpha)
     target = solve_base(s)
     records = []
     for n in range(n_from, n_to + 1):
-        gamma, _, _ = construct_gamma(alpha, n, m)
-        polynomial = poly_from_sequence(gamma)
+        gamma = _gamma(s, k, m, n)
         base = solve_base(gamma)
         cert = classify(gamma)
         if not cert.is_univoque:
@@ -161,7 +148,6 @@ def approximate(alpha, n_from: int, n_to: int, m: int | None = None):
                 "univoqueness certificate at N = %d" % n)
         gap, target, base = _gap_bound(target, base)
         records.append(ApproximationRecord(
-            alpha=word(alpha), k=k, m=m, N=n, gamma=gamma,
-            polynomial=polynomial, base=base, certificate=cert,
-            target_base=target, gap=gap))
+            alpha=word(alpha), k=k, m=m, N=n, gamma=gamma, base=base,
+            certificate=cert, target_base=target, gap=gap))
     return records

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .words import (EPSequence, LT, EQ, GT, complement, complement_word,
-                    lex_compare_word, shift, format_sequence)
+                    shift, format_sequence)
 
 # stable numeric codes for the shift conditions, reported in witnesses
 SHIFT_STRICT = 21          # shifted tail <  sequence   (greedy / univoque)
@@ -190,10 +190,10 @@ def find_m(s: EPSequence, k: int, cap: int | None = None) -> int:
     if cap < k:
         raise ValueError("cap must be >= k")
     b = s.digit(1)
+    # both blocks have m - j digits, so tuple order is lexicographic order
     for m in range(k, cap + 1):
         prefix = s.prefix(m)
-        if all(lex_compare_word(complement_word(prefix[j:], b),
-                                prefix[:m - j]) == LT
+        if all(complement_word(prefix[j:], b) < prefix[:m - j]
                for j in range(m)):
             return m
     raise SearchCapExceeded("no valid m found up to cap %d" % cap)
@@ -206,7 +206,6 @@ def verify_lemma_26(s: EPSequence, m_max: int):
     b = s.digit(1)
     head = s.prefix(2 * m_max)
     for m in range(1, m_max + 1):
-        if lex_compare_word(complement_word(head[:m], b),
-                            head[m:2 * m]) != LT:
+        if complement_word(head[:m], b) >= head[m:2 * m]:
             return False, m
     return True, None

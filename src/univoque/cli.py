@@ -17,7 +17,7 @@ from fractions import Fraction
 import click
 
 from . import approximator, characterization, expansions, oracle
-from .algebraic import DomainError, algebraic_real
+from .algebraic import algebraic_real
 from .characterization import NotInClosureError
 from .words import EPSequence, ParseError, format_sequence, format_word, \
     parse_sequence, parse_word
@@ -194,13 +194,12 @@ def kl(eps, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def oracle_cmd(base, depth, counts, as_json):
     """Enumerate all viable expansion prefixes of 1 (brute force)."""
-    if depth < 1:
-        # zero levels would certify uniqueness vacuously
-        raise DomainError("depth must be >= 1, got %d" % depth)
+    # the verdict needs a level; refused before the base is parsed
+    oracle.require_depth(depth, 1)
     tree = oracle.enumerate_expansions(parse_base(base), depth,
                                        level_cap=_max_work(oracle.LEVEL_CAP),
                                        counts_only=counts)
-    unique = tree.exhaustive and all(c == 1 for c in tree.counts)
+    unique = oracle.unique_prefix(tree)
     payload = {"command": "oracle", "base": base, "depth": depth,
                "counts": list(tree.counts), "exhaustive": tree.exhaustive,
                "unique_prefix": unique}

@@ -5,14 +5,13 @@ scaled residual r_n = q^n (1 - sum c_i q^{-i}) can still be completed,
 i.e. 0 <= r_n <= M / (q - 1) with M the digit cap.  The residuals use the
 arithmetic of `expansions` (RationalBase, AlgebraicBase), so everything is
 decided exactly; the rule itself is this module's own, not the greedy floor
-rule.  An interval-valued base gives a conservative (never-prune-a-real-
-expansion) variant.
+rule.  A base is a rational, an AlgebraicReal or an eventually periodic
+sequence, as for `expansions`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebraic import DomainError
 from .expansions import base_arithmetic, q_minus_1_sign
@@ -29,43 +28,10 @@ class PrefixTree:
     exhaustive: bool
 
 
-class _IntervalBase:
-    """Base known only within a rational interval (lo, hi), 1 < lo < hi.
-    Residuals become intervals; pruning happens only on certain violations,
-    so a 'unique prefix' verdict is sound for the true base inside."""
-
-    def __init__(self, lo: Fraction, hi: Fraction):
-        if lo <= 1:
-            raise DomainError("interval base must lie right of 1")
-        if int(lo) != int(hi):
-            raise DomainError("digit cap must be constant over the interval")
-        self.lo, self.hi = lo, hi
-        self.cap = hi.numerator // hi.denominator
-        self.tail_max = Fraction(self.cap, 1) / (lo - 1)
-
-    def root(self):
-        return (Fraction(1), Fraction(1))
-
-    def times_q(self, r):
-        rlo, rhi = r
-        prods = (self.lo * rlo, self.lo * rhi, self.hi * rlo, self.hi * rhi)
-        return (min(prods), max(prods))
-
-    def minus(self, x, c):
-        return (x[0] - c, x[1] - c)
-
-    def sign(self, x) -> int:
-        """+1 or -1 when the whole interval has that sign, else 0."""
-        return 1 if x[0] > 0 else -1 if x[1] < 0 else 0
-
-
 def _base(base, level_cap: int):
-    if isinstance(base, tuple) and len(base) == 2:
-        b = _IntervalBase(Fraction(base[0]), Fraction(base[1]))
-    else:
-        b = base_arithmetic(base)
-        if q_minus_1_sign(b) <= 0:
-            raise DomainError("oracle requires q > 1")
+    b = base_arithmetic(base)
+    if q_minus_1_sign(b) <= 0:
+        raise DomainError("oracle requires q > 1")
     if b.cap + 1 > level_cap:
         raise DomainError("each prefix has %d candidate digits, above the "
                           "level cap %d" % (b.cap + 1, level_cap))
@@ -73,11 +39,8 @@ def _base(base, level_cap: int):
 
 
 def _below_tail(b, r, qr) -> bool:
-    """r <= M/(q - 1), M = b.cap: digits <= M can still complete r.  On an
-    exact base this reads q r - r - M <= 0; an interval base compares the
-    lower end of r with M/(lo - 1)."""
-    if isinstance(b, _IntervalBase):
-        return r[0] <= b.tail_max
+    """r <= M/(q - 1), M = b.cap: digits <= M can still complete r.  With
+    q > 1 this reads q r - r - M <= 0."""
     return b.sign(b.minus(b.minus(qr, r), b.cap)) <= 0
 
 
@@ -101,8 +64,7 @@ def _children(b, x):
 def enumerate_expansions(base, depth: int, level_cap: int = LEVEL_CAP,
                          counts_only: bool = False) -> PrefixTree:
     """All viable digit prefixes of expansions of 1, level by level."""
-    if depth < 0:
-        raise DomainError("depth must be >= 0, got %d" % depth)
+    require_depth(depth)
     b = _base(base, level_cap)
     # each prefix is kept with its residual times q
     frontier = [((), b.times_q(b.root()))]
@@ -124,11 +86,25 @@ def enumerate_expansions(base, depth: int, level_cap: int = LEVEL_CAP,
     return PrefixTree(depth, tuple(levels), tuple(counts), exhaustive)
 
 
-def certify_unique_prefix(base, depth: int, level_cap: int = LEVEL_CAP) -> bool:
-    """True iff exactly one viable prefix survives at every level: a
-    depth-bounded necessary condition for univoqueness (sound refutation)."""
-    tree = enumerate_expansions(base, depth, level_cap, counts_only=True)
+def require_depth(depth: int, least: int = 0) -> None:
+    """Enumeration takes depth >= 0; a uniqueness verdict needs >= 1."""
+    if depth < least:
+        raise DomainError("depth must be >= %d, got %d" % (least, depth))
+
+
+def unique_prefix(tree: PrefixTree) -> bool:
+    """True iff exactly one viable prefix survives at every level of an
+    exhaustive tree: a depth-bounded necessary condition for univoqueness
+    (sound refutation).  A tree of depth 0 has no level to check and would
+    pass vacuously, so it is refused."""
+    require_depth(tree.depth, 1)
     return tree.exhaustive and all(c == 1 for c in tree.counts)
+
+
+def certify_unique_prefix(base, depth: int, level_cap: int = LEVEL_CAP) -> bool:
+    """`unique_prefix` of the viable prefixes of depth >= 1."""
+    return unique_prefix(enumerate_expansions(base, depth, level_cap,
+                                              counts_only=True))
 
 
 def greedy_via_oracle(base, depth: int) -> tuple:

@@ -125,17 +125,6 @@ def lex_compare(a: EPSequence, b: EPSequence) -> int:
     return EQ
 
 
-def lex_compare_word(a, b) -> int:
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise ValueError("lex_compare_word needs equal lengths")
-    if a < b:
-        return LT
-    if a > b:
-        return GT
-    return EQ
-
-
 # --- string grammar -------------------------------------------------------
 #
 #   WORD := DIGITSEQ | "[" INT ("," INT)* "]"

@@ -88,6 +88,20 @@ COMMANDS = README + [
     ["oracle", "100000000", "--depth", "1", "--counts"],
     ["oracle", "seq:(110)", "--depth", "0"],
     ["solve", "(0)"],
+] + [
+    # approximate over more targets: longer periods, a non-primitive word,
+    # digits above 1 and above 9, and the error paths of the target check
+    ["approximate", "1110", "--from", "2", "--to", "6"],
+    ["approximate", "11110", "--from", "2", "--to", "4"],
+    ["approximate", "110100", "--from", "3", "--to", "5"],
+    ["approximate", "110110"],
+    ["approximate", "1"],
+    ["approximate", "2", "--from", "1", "--to", "3"],
+    ["approximate", "210", "--from", "2", "--to", "3"],
+    ["approximate", "[10,3,0]", "--from", "2", "--to", "3"],
+    ["approximate", "100"],
+    ["approximate", "100", "--from", "2"],
+    ["approximate", "110", "--from", "1"],
 ]
 
 

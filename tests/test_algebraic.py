@@ -32,6 +32,14 @@ def test_sturm_counts_distinct_roots_of_squareful_poly():
     assert sturm_count(p, F(5, 2), F(4)) == 1
 
 
+def test_sturm_count_with_degree_gaps_and_negative_leads():
+    """Remainder sequences that drop more than one degree at a step, with
+    a negative leading coefficient: the pseudo-division must scale by
+    |lead|^k, as a signed lead^k with k odd flips the remainder's sign."""
+    assert sturm_count((-1, 1, 0, 0, 1), F(-3, 2), F(13, 2)) == 2
+    assert sturm_count((1, 2, 0, 0, -1), F(-8, 3), F(4, 3)) == 1
+
+
 def test_sturm_endpoint_root_is_refused():
     with pytest.raises(EndpointRootError):
         sturm_count((2, -3, 1), F(2), F(3))

@@ -9,6 +9,7 @@ from univoque.algebraic import refine
 from univoque.approximator import (NTooSmallError, NotInClosureError,
                                    approximate, construct_gamma)
 from univoque.characterization import classify
+from univoque.expansions import poly_from_sequence
 from univoque.words import LT, ep_sequence, lex_compare
 from univoque import polynomials as pl
 
@@ -52,8 +53,6 @@ def test_minimal_n_is_the_least_n_construct_gamma_accepts():
         with pytest.raises(NTooSmallError) as exc:
             construct_gamma(alpha, n - 1)
         assert exc.value.minimal == n
-    # an explicit m sets its own minimum: k N >= m
-    assert approximator.minimal_n((1, 1, 0), m=7) == 3
 
 
 def test_construct_gamma_rejects_non_closure_targets():
@@ -74,24 +73,16 @@ def test_construct_gamma_non_primitive_input_is_canonicalized():
     assert (g1, k1, m1) == (g2, k2, m2)
 
 
-def test_forced_m_must_satisfy_block_condition():
-    gamma, k, m = construct_gamma((1, 1, 0), 2, m=5)
-    assert m == 5
-    with pytest.raises(ValueError):
-        construct_gamma((1, 1, 0), 2, m=2)   # below k
-    with pytest.raises(ValueError):
-        construct_gamma((1, 1, 1, 0), 2, m=4)  # fails the block condition
-
-
 def test_approximate_tribonacci_records():
     records = approximate((1, 1, 0), 2, 4)
     assert [r.N for r in records] == [2, 3, 4]
     for r in records:
         assert r.certificate.verdict == "univoque"
         assert classify(r.gamma).is_univoque
-        assert pl.evaluate(r.polynomial, r.base.lo) * \
-            pl.evaluate(r.polynomial, r.base.hi) < 0
-        assert pl.degree(r.polynomial) <= r.k * r.N + 2 * r.m
+        assert r.base.poly == poly_from_sequence(r.gamma)
+        assert pl.evaluate(r.base.poly, r.base.lo) * \
+            pl.evaluate(r.base.poly, r.base.hi) < 0
+        assert pl.degree(r.base.poly) <= r.k * r.N + 2 * r.m
         assert lex_compare(r.gamma, ep_sequence((), r.alpha)) == LT
     gaps = [r.gap for r in records]
     assert gaps[0] > gaps[1] > gaps[2] > 0

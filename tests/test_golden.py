@@ -4,6 +4,7 @@ The corpus holds the `--json` stdout, stderr and exit code of each command,
 as recorded by tests/golden/record.py.
 """
 
+import importlib.util
 import json
 import os
 
@@ -12,7 +13,9 @@ from click.testing import CliRunner
 
 from univoque.cli import main
 
-with open(os.path.join(os.path.dirname(__file__), "golden", "cli.json")) as f:
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+with open(os.path.join(GOLDEN, "cli.json")) as f:
     CORPUS = json.load(f)
 
 
@@ -23,3 +26,13 @@ def test_golden_cli_output(case):
     assert r.exit_code == case["exit"]
     assert r.stdout == case["stdout"]
     assert r.stderr == case["stderr"]
+
+
+def test_corpus_holds_every_recorded_command():
+    """A command added to record.py must be re-recorded into cli.json."""
+    spec = importlib.util.spec_from_file_location(
+        "golden_record", os.path.join(GOLDEN, "record.py"))
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    assert [c["argv"] for c in CORPUS] == \
+        [argv + ["--json"] for argv in record.COMMANDS]

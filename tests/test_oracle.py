@@ -7,10 +7,10 @@ import pytest
 
 from univoque.algebraic import DomainError
 from univoque.approximator import approximate
-from univoque.expansions import (greedy_expansion, kl_constant,
-                                 quasi_greedy_expansion, solve_base)
+from univoque.expansions import (greedy_expansion, quasi_greedy_expansion,
+                                 solve_base)
 from univoque.oracle import (certify_unique_prefix, enumerate_expansions,
-                             greedy_via_oracle)
+                             greedy_via_oracle, unique_prefix)
 from univoque.words import ep_sequence
 
 S10 = ep_sequence((), (1, 0))
@@ -57,8 +57,18 @@ def test_enumerate_rejects_a_negative_depth():
 def test_certify_unique_prefix_examples():
     assert not certify_unique_prefix(solve_base(S110), 6)
     assert not certify_unique_prefix(F(2), 3)
-    lo, hi, _ = kl_constant(F(1, 10 ** 8))
-    assert certify_unique_prefix((lo, hi), 12)
+
+
+def test_certify_unique_prefix_refuses_depth_zero():
+    # zero checked levels would certify uniqueness vacuously
+    with pytest.raises(DomainError, match="depth must be >= 1, got 0"):
+        certify_unique_prefix(F(2), 0)
+    with pytest.raises(DomainError, match="depth must be >= 1, got 0"):
+        unique_prefix(enumerate_expansions(F(3, 2), 0))
+    assert not certify_unique_prefix(F(2), 1)
+    base = solve_base(UNIVOQUE_N2)
+    assert unique_prefix(enumerate_expansions(base, 8))
+    assert certify_unique_prefix(base, 8)
 
 
 def test_tribonacci_two_branches_by_depth_six():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from univoque.words import (EPSequence, LT, EQ, GT, ParseError,
                             complement, ep_sequence, format_sequence,
-                            format_word, lex_compare, lex_compare_word,
+                            format_word, lex_compare,
                             parse_sequence, parse_word, shift)
 
 
@@ -50,14 +50,6 @@ def test_lex_compare_examples():
     # the first difference sits at position 11
     assert s110.prefix(10) == big.prefix(10)
     assert s110.digit(11) == 1 and big.digit(11) == 0
-
-
-def test_lex_compare_word_examples():
-    assert lex_compare_word((0, 0, 1, 0), (1, 1, 0, 1)) == LT
-    assert lex_compare_word((1, 1), (1, 1)) == EQ
-    assert lex_compare_word((1, 0), (0, 1)) == GT
-    with pytest.raises(ValueError):
-        lex_compare_word((1,), (1, 0))
 
 
 def test_parse_and_format_round_trip():
