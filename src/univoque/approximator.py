@@ -59,25 +59,21 @@ class ApproximationRecord:
         }
 
 
-def _target_sequence(alpha) -> tuple:
-    """(s, k): the target s = (alpha)^inf in canonical form, whose period,
-    of length k, is the primitive root of alpha (s is purely periodic)."""
+def _target(alpha) -> tuple:
+    """(s, k, m) for the target s = (alpha)^inf in canonical form, whose
+    period, of length k, is the primitive root of alpha, and m the least
+    block length (find_m).  s must be closure-admissible.  No purely
+    periodic s is univoque, as sigma^k(s) = s fails the strict shift
+    condition 21, so s is then a closure point outside the univoque set,
+    as the construction needs."""
     alpha = word(alpha)
     if not alpha:
         raise NotInClosureError("empty target word")
     s = ep_sequence((), alpha)
-    return s, len(s.period)
-
-
-def _target(alpha) -> tuple:
-    """(s, k, m), m the least block length (find_m), for a target s that
-    must be closure-admissible.  No purely periodic s is univoque, as
-    sigma^k(s) = s fails the strict shift condition 21, so s is then a
-    closure point outside the univoque set, as the construction needs."""
-    s, k = _target_sequence(alpha)
     if not classify(s).in_closure:
         raise NotInClosureError(
             "target %s is not closure-admissible" % format_sequence(s))
+    k = len(s.period)
     return s, k, find_m(s, k)
 
 
@@ -99,10 +95,10 @@ def _gamma(s: EPSequence, k: int, m: int, N: int) -> EPSequence:
 
 
 def minimal_n(alpha) -> int:
-    """The least block count N for the target (alpha)^inf: k N >= m, with
-    m from find_m, which raises NotInClosureError outside the closure."""
-    s, k = _target_sequence(alpha)
-    return -(-find_m(s, k) // k)
+    """The least block count N for the target (alpha)^inf: k N >= m.
+    Raises NotInClosureError as `approximate` does."""
+    _, k, m = _target(alpha)
+    return -(-m // k)
 
 
 def construct_gamma(alpha, N: int):

@@ -24,13 +24,19 @@ from .words import EPSequence, ParseError, format_sequence, format_word, \
 
 
 def _max_work(default: int) -> int:
+    """UVQ_MAX_WORK, a positive integer clamped to default, else default
+    when unset; any other value is a usage error."""
     raw = os.environ.get("UVQ_MAX_WORK")
     if raw is None:
         return default
     try:
-        return min(default, int(raw)) if int(raw) > 0 else default
+        cap = int(raw)
     except ValueError:
-        return default
+        cap = 0
+    if cap < 1:
+        raise ValueError("UVQ_MAX_WORK must be a positive integer, got %r"
+                         % raw)
+    return min(default, cap)
 
 
 def _frac(text: str) -> Fraction:

@@ -2,11 +2,11 @@
 
 The number 1 is expanded in a base q > 1 (q >= 1 for greedy) as
 sum_i c_i q^{-i} = 1.  Digit decisions are exact and go through one
-residual arithmetic per base kind (RationalBase, AlgebraicBase), which the
-oracle shares.  Both keep a residual as integers over a power of the
-leading coefficient of q's defining polynomial: an integer over b^n for
-q = a/b, an integer polynomial of degree < deg f for a root of f, whose
-sign comes from sign_at.  No step goes through Fraction.
+residual arithmetic, AlgebraicBase, which the oracle shares.  It keeps a
+residual as an integer polynomial of degree < deg f over a power of the
+leading coefficient of q's defining polynomial f, whose sign comes from
+sign_at.  A rational q = a/b is the degree-1 case, the root of b x - a:
+its residuals are integers over b^n.  No step goes through Fraction.
 """
 
 from __future__ import annotations
@@ -101,48 +101,13 @@ def solve_base(s: EPSequence) -> AlgebraicReal:
 # --- residual arithmetic ----------------------------------------------------
 #
 # The residual after n digits is r_n = q^n (1 - sum_{i<=n} c_i q^-i), so
-# r_0 = 1 and r_n = q r_{n-1} - c_n.  One class per base kind implements the
-# same operations on it: cap (floor of q), root() (r_0), times_q(r),
-# minus(x, c) (x - c for an integer or a residual c), sign(x), and
-# floor(x) -> (t, x == t).  The greedy and quasi-greedy rules below and the
-# oracle's tail-bound rule are written once over these operations.
-
-
-class RationalBase:
-    """Residual arithmetic at a rational base q = a/b in lowest terms.
-
-    A residual is a pair (n, den) of integers, den > 0 a power of b, of
-    value n / den.  r_n = (a^n - sum_i c_i a^(n-i) b^i) / b^n has a
-    numerator prime to b, so b^n is already its lowest denominator and a
-    Fraction would only spend gcds that never reduce it.
-    """
-
-    def __init__(self, q: Fraction):
-        self.a, self.b = q.numerator, q.denominator
-        self.cap = self.a // self.b
-
-    def root(self):
-        return 1, 1
-
-    def times_q(self, r):
-        return self.a * r[0], self.b * r[1]
-
-    def minus(self, x, c):
-        n, den = x
-        if isinstance(c, int):
-            return n - c * den, den
-        m, e = c
-        if den < e:
-            return n * (e // den) - m, e
-        return n - m * (den // e), den
-
-    def sign(self, x) -> int:
-        n = x[0]
-        return (n > 0) - (n < 0)
-
-    def floor(self, x) -> tuple:
-        t, rem = divmod(x[0], x[1])
-        return t, rem == 0
+# r_0 = 1 and r_n = q r_{n-1} - c_n.  One class, AlgebraicBase, implements
+# the operations on it at every base: cap (floor of q), root() (r_0),
+# times_q(r), minus(x, c) (x - c for an integer or a residual c), sign(x),
+# and floor(x) -> (t, x == t).  A rational a/b runs as the root of b x - a,
+# where every residual has degree 0 and sign_at reads its sign off the
+# constant.  The greedy and quasi-greedy rules below and the oracle's
+# tail-bound rule are written once over these operations.
 
 
 class AlgebraicBase:
@@ -214,12 +179,15 @@ class AlgebraicBase:
 
 def base_arithmetic(q):
     """The residual arithmetic of q: a Fraction/int, an AlgebraicReal, or an
-    EPSequence (meaning the unique base where its value is 1)."""
+    EPSequence (meaning the unique base where its value is 1).  This is the
+    one place that looks at the type of q."""
     if isinstance(q, EPSequence):
         q = solve_base(q)
-    if isinstance(q, AlgebraicReal):
-        return AlgebraicBase(q)
-    return RationalBase(Fraction(q))
+    if not isinstance(q, AlgebraicReal):
+        # a rational a/b is the one root of b x - a in (q - 1, q + 1)
+        q = Fraction(q)
+        q = AlgebraicReal((-q.numerator, q.denominator), q - 1, q + 1)
+    return AlgebraicBase(q)
 
 
 def q_minus_1_sign(b) -> int:

@@ -3,10 +3,10 @@
 Branch-and-bound over digit prefixes: a prefix c_1..c_n is viable iff the
 scaled residual r_n = q^n (1 - sum c_i q^{-i}) can still be completed,
 i.e. 0 <= r_n <= M / (q - 1) with M the digit cap.  The residuals use the
-arithmetic of `expansions` (RationalBase, AlgebraicBase), so everything is
-decided exactly; the rule itself is this module's own, not the greedy floor
-rule.  A base is a rational, an AlgebraicReal or an eventually periodic
-sequence, as for `expansions`.
+one residual arithmetic of `expansions` (AlgebraicBase; a rational is its
+degree-1 case), so everything is decided exactly; the rule itself is this
+module's own, not the greedy floor rule.  A base is a rational, an
+AlgebraicReal or an eventually periodic sequence, as for `expansions`.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ def unique_prefix(tree: PrefixTree) -> bool:
 
 def certify_unique_prefix(base, depth: int, level_cap: int = LEVEL_CAP) -> bool:
     """`unique_prefix` of the viable prefixes of depth >= 1."""
+    require_depth(depth, 1)
     return unique_prefix(enumerate_expansions(base, depth, level_cap,
                                               counts_only=True))
 

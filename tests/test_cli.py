@@ -206,3 +206,39 @@ def test_approximate_defaults_to_the_minimal_n():
     payload = json.loads(run("approximate", "110", "--json").output)
     assert payload["from"] == payload["to"] == 2
     assert [r["N"] for r in payload["records"]] == [2]
+
+
+def test_rational_bases_run_as_degree_one_roots():
+    # a cap of 10^8 costs O(log cap) constant-sign tests per digit
+    for mode, digits in (("greedy", [100000000] + [0] * 29),
+                         ("quasi", [99999999] * 30)):
+        t = time.perf_counter()
+        r = run("expand", "100000000", "--mode", mode, "--depth", "30",
+                "--json")
+        assert time.perf_counter() - t < 1
+        assert r.exit_code == 0
+        assert json.loads(r.output)["digits"] == \
+            "[%s]" % ",".join(map(str, digits))
+    assert json.loads(run("expand", "1", "--depth", "5", "--json").output
+                      )["digits"] == "10000"
+    for base in ("1/2", "-3/2"):
+        r = run("expand", "--json", "--", base)
+        assert r.exit_code == 2
+        assert r.output.strip().splitlines() == \
+            ["error: greedy expansion requires q >= 1"]
+
+
+def test_max_work_must_be_a_positive_integer():
+    args = ["oracle", "seq:(110)", "--depth", "6", "--counts", "--json"]
+    for raw in ("abc", "0", "-5"):
+        r = CliRunner().invoke(main, args, env={"UVQ_MAX_WORK": raw})
+        assert r.exit_code == 2
+        assert r.output.strip().splitlines() == [
+            "error: UVQ_MAX_WORK must be a positive integer, got %r" % raw]
+    # a small cap cuts a level; one above the default clamps to it
+    full = json.loads(run(*args).output)
+    assert full["exhaustive"] and max(full["counts"]) > 2
+    small = CliRunner().invoke(main, args, env={"UVQ_MAX_WORK": "2"})
+    assert json.loads(small.output)["exhaustive"] is False
+    big = CliRunner().invoke(main, args, env={"UVQ_MAX_WORK": "10000000"})
+    assert json.loads(big.output) == full

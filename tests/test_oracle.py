@@ -50,7 +50,7 @@ def test_enumerate_rejects_a_negative_depth():
     assert enumerate_expansions(F(3, 2), 0).counts == ()
     with pytest.raises(DomainError, match="depth must be >= 0"):
         enumerate_expansions(F(3, 2), -2, counts_only=True)
-    with pytest.raises(DomainError, match="depth must be >= 0"):
+    with pytest.raises(DomainError, match="depth must be >= 1"):
         certify_unique_prefix(F(3, 2), -2)
 
 
