@@ -114,14 +114,17 @@ _GAP_SHRINK = 10
 
 def _gap_bound(target: AlgebraicReal, base: AlgebraicReal) -> tuple:
     """Refine both enclosures until the reported gap dominates the interval
-    slack, then return (gap, target, base)."""
+    slack, then return (gap, target, base).
+
+    Each round refines the inputs themselves, so `refine` continues from
+    the cells its memo keeps for them.  w strictly decreases, so the
+    intervals are the ones refining the last round's would give."""
     w = Fraction(1, 16)
     while True:
-        target = refine(target, w)
-        base = refine(base, w)
-        gap = target.hi - base.lo
+        t, b = refine(target, w), refine(base, w)
+        gap = t.hi - b.lo
         if gap > 0 and w <= gap / _GAP_SHRINK:
-            return gap, target, base
+            return gap, t, b
         w = gap / (2 * _GAP_SHRINK) if gap > 0 else w / 16
 
 

@@ -102,6 +102,11 @@ COMMANDS = README + [
     ["approximate", "100"],
     ["approximate", "100", "--from", "2"],
     ["approximate", "110", "--from", "1"],
+] + [
+    # gap bounds that need deep refinement of both roots
+    ["approximate", "110", "--from", "38", "--to", "40"],
+    ["approximate", "1110", "--from", "28", "--to", "30"],
+    ["approximate", "110100", "--from", "13", "--to", "15"],
 ]
 
 

@@ -349,3 +349,120 @@ def test_even_multiplicity_base_falls_back_to_the_squarefree_part(
     assert refine(a, F(1, 2 ** 64)).interval == \
         refine(b, F(1, 2 ** 64)).interval
     assert sf_args == [a.poly]
+
+
+def _bisection_refine(a, eps):
+    """The one-bit-per-step refinement `refine` must reproduce: bisect a's
+    own interval, from scratch, until it is no wider than eps."""
+    eps = F(eps)
+    if a.hi - a.lo <= eps:
+        return a
+    den = a.lo.denominator * a.hi.denominator
+    lo = a.lo.numerator * a.hi.denominator
+    hi = a.hi.numerator * a.lo.denominator
+    f = a.poly
+    if pl.scaled_value(f, lo, den) * pl.scaled_value(f, hi, den) >= 0:
+        f = pl.squarefree_part(f)
+    s = pl.scaled_value(f, lo, den) > 0
+    while (hi - lo) * eps.denominator > eps.numerator * den:
+        mid = lo + hi
+        v = pl.scaled_value(f, mid, 2 * den)
+        if v == 0:
+            lo, hi, den = 5 * lo + 3 * hi, 3 * lo + 5 * hi, 8 * den
+        elif (v > 0) != s:
+            lo, hi, den = 2 * lo, mid, 2 * den
+        else:
+            lo, hi, den = mid, 2 * hi, 2 * den
+    return AlgebraicReal(a.poly, F(lo, den), F(hi, den))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pre=st.lists(st.integers(0, 3), max_size=8),
+       per=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+       bits=st.lists(st.integers(1, 400), min_size=1, max_size=5),
+       den=st.integers(1, 1000))
+def test_refine_matches_plain_bisection_on_sequence_bases(pre, per, bits,
+                                                          den):
+    """QIR's grid-ancestor answer is the bisection interval, call after
+    call on one root, whatever cells earlier calls left in the memo."""
+    s = ep_sequence(tuple(pre), tuple(per))
+    assume(s.digit_sum >= 2)
+    a = solve_base(s)
+    for b in bits:
+        eps = F(1, 2 ** b * den)
+        assert refine(a, eps) == _bisection_refine(a, eps)
+
+
+REFINE_CASES = [
+    ((-3, 2), 1, 2),                   # 3/2 is the first midpoint
+    ((-15, 7, 2), 1, 2),               # (2x - 3)(x + 5)
+    ((0, 0, 0, 0, -3, 2), 1, 2),       # (2x - 3) x^4: the secant misses
+    ((4, 0, -4, 0, 1), 1, 2),          # (x^2 - 2)^2: no sign change
+    ((-2, 0, 1), -2, -1),              # left of 0
+    ((-2, 0, 1), F(1, 3), F(5, 3)),    # non-dyadic endpoints
+]
+
+
+@pytest.mark.parametrize("p, lo, hi", REFINE_CASES)
+def test_refine_matches_plain_bisection_on_fixed_roots(p, lo, hi):
+    a = algebraic_real(p, lo, hi)
+    for order in ((1, 3, 10, 64, 300), (300, 64, 10, 3, 1)):
+        algebraic._REFINED.clear()
+        for b in order:
+            for eps in (F(1, 2 ** b), F(2, 3 * 2 ** b)):
+                assert refine(a, eps) == _bisection_refine(a, eps)
+
+
+def test_dyadic_root_keeps_the_thin_bisection_interval():
+    a = algebraic_real((-3, 2), 1, 2)
+    r = refine(a, F(1, 2 ** 20))
+    assert r.lo < F(3, 2) < r.hi
+    assert (F(3, 2) - r.lo) == (r.hi - F(3, 2))
+    assert r == _bisection_refine(a, F(1, 2 ** 20))
+
+
+def test_a_root_found_at_a_grid_point_ends_the_qir_steps(monkeypatch):
+    """(x - p)(x + 5) with p = 1 + 683/1024: once a QIR step evaluates at
+    p, the call goes on by bisection alone."""
+    steps = []
+    real = algebraic._qir
+    monkeypatch.setattr(algebraic, "_qir",
+                        lambda box: steps.append(real(box)) or steps[-1])
+    p = 1 + F(683, 1024)
+    a = algebraic_real(_mul((-p.numerator, p.denominator), (5, 1)), 1, 2)
+    algebraic._REFINED.clear()
+    eps = F(1, 2 ** 40)
+    assert refine(a, eps) == _bisection_refine(a, eps)
+    assert 0 in steps and steps.index(0) == len(steps) - 1
+
+
+@pytest.mark.parametrize("p, lo, hi", REFINE_CASES + [(TRIB, 1, 2)])
+def test_refine_after_any_history_equals_a_fresh_bisection(p, lo, hi):
+    """Decreasing eps, then increasing eps, then sign tests that leave
+    their own cells in the memo: each answer is the fresh reference."""
+    a = algebraic_real(p, lo, hi)
+    algebraic._REFINED.clear()
+    down = [F(1, 2 ** b) for b in (2, 7, 40, 41, 200)]
+    for eps in down + down[::-1]:
+        assert refine(a, eps) == _bisection_refine(a, eps)
+    for c in ((-1, 1), (-7, 5), (-17, 12), (-3, 2), (-2, 0, 1)):
+        sign_at(c, a)
+        for eps in (F(1, 8), F(1, 3 * 2 ** 100), F(1, 2 ** 300)):
+            got = refine(a, eps)
+            algebraic._REFINED.clear()
+            assert got == _bisection_refine(a, eps)
+            sign_at(c, a)
+
+
+def test_refine_answers_from_the_memo_without_new_sign_tests(monkeypatch):
+    a = solve_base(ep_sequence((), (1, 1, 0)))
+    algebraic._REFINED.clear()
+    deep = refine(a, F(1, 2 ** 300))
+    calls = []
+    real = pl.scaled_value
+    monkeypatch.setattr(pl, "scaled_value",
+                        lambda *args: calls.append(args) or real(*args))
+    for b in (290, 100, 5):
+        r = refine(a, F(1, 2 ** b))
+        assert r.lo <= deep.lo and deep.hi <= r.hi
+    assert calls == []

@@ -4,9 +4,13 @@ The corpus holds the `--json` stdout, stderr and exit code of each command,
 as recorded by tests/golden/record.py.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -36,3 +40,25 @@ def test_corpus_holds_every_recorded_command():
     spec.loader.exec_module(record)
     assert [c["argv"] for c in CORPUS] == \
         [argv + ["--json"] for argv in record.COMMANDS]
+
+
+# sha256 of the stdout of `approximate 110 --from 2 --to 80 --json`, as the
+# one-bit-per-step bisection in `refine` printed it
+APPROXIMATE_110_TO_80 = \
+    "75bb2e1f6b6831f3830640df1f5855ce3713d0f361109b5c472990f9f9bffdbe"
+
+
+def test_deep_approximants_are_unchanged_and_fast():
+    """N = 80 refines q_N, a root of degree 246, to a gap near 2^-216, in a
+    fresh process: the output is byte-identical and takes under 4 s."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "univoque.cli", "approximate", "110",
+         "--from", "2", "--to", "80", "--json"],
+        capture_output=True, check=True, env=env)
+    elapsed = time.monotonic() - t0
+    assert hashlib.sha256(proc.stdout).hexdigest() == APPROXIMATE_110_TO_80
+    assert elapsed < 4.0
