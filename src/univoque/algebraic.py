@@ -91,23 +91,12 @@ class AlgebraicReal:
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
 
-    @property
-    def interval(self) -> tuple:
-        return (self.lo, self.hi)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def validate(self) -> None:
-        if sturm_count(self.poly, self.lo, self.hi) != 1:
-            raise ValueError("interval does not isolate exactly one root")
-
 
 def algebraic_real(poly_coeffs, lo, hi) -> AlgebraicReal:
     """The root of poly_coeffs in (lo, hi), certified by a Sturm count."""
     a = AlgebraicReal(pl.poly(poly_coeffs), Fraction(lo), Fraction(hi))
-    a.validate()
+    if sturm_count(a.poly, a.lo, a.hi) != 1:
+        raise ValueError("interval does not isolate exactly one root")
     return a
 
 

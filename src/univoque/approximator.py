@@ -19,7 +19,8 @@ from .algebraic import AlgebraicReal, refine
 from .characterization import (NotInClosureError, UnivoqueCertificate,
                                classify, find_m)
 from .expansions import solve_base
-from .words import EPSequence, complement_word, ep_sequence, format_sequence, word
+from .words import (EPSequence, complement_word, ep_sequence, format_sequence,
+                    format_word, word)
 
 
 class NTooSmallError(ValueError):
@@ -44,7 +45,7 @@ class ApproximationRecord:
 
     def as_dict(self) -> dict:
         return {
-            "alpha": format_sequence(self.alpha),
+            "alpha": format_word(self.alpha),
             "k": self.k,
             "m": self.m,
             "N": self.N,
@@ -99,13 +100,6 @@ def minimal_n(alpha) -> int:
     Raises NotInClosureError as `approximate` does."""
     _, k, m = _target(alpha)
     return -(-m // k)
-
-
-def construct_gamma(alpha, N: int):
-    """The approximant digit sequence for block count N, as (gamma, k, m).
-    Raises NotInClosureError or NTooSmallError as `approximate` does."""
-    s, k, m = _target(alpha)
-    return _gamma(s, k, m, N), k, m
 
 
 # the reported gap is at least this many times the interval width

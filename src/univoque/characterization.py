@@ -5,7 +5,9 @@ strictly below the sequence itself (condition 21).  Univoqueness adds the
 same strict bound for complemented tails (22).  The closure of the
 univoque set relaxes 21 to non-strict (23) while keeping the complement
 condition strict (24).  All quantifiers over shifts reduce to the finite
-set of distinct shifts of the canonical eventually periodic form.
+set of distinct shifts of the canonical eventually periodic form, and one
+scan of a digit window (`_scan`) decides them for `classify` and for the
+greedy and quasi-greedy admissibility checks.
 """
 
 from __future__ import annotations
@@ -94,8 +96,11 @@ def _witnesses(s: EPSequence, failures: list) -> tuple:
     return tuple(out)
 
 
-def classify(s: EPSequence) -> UnivoqueCertificate:
-    """Evaluate all four shift conditions on the distinct shifts of s.
+def _scan(s: EPSequence, complements: bool) -> list:
+    """The first shift of s that fails 21 and the first that fails 23, and
+    with complements=True the first complement that fails 22 (and so 24),
+    as (condition, j, order) failures in order of j.  A complement scan
+    needs every digit at most the first.
 
     With p and r the preperiod and period lengths of the canonical form
     (so the period is primitive), the distinct shifts are sigma^j(s) for
@@ -109,22 +114,17 @@ def classify(s: EPSequence) -> UnivoqueCertificate:
     complemented slice does.  Those are tuple comparisons; the shifted
     sequences are built only for the witnesses, at most four.
     """
-    b = s.digit(1)
-    if s.max_digit > b:
-        w = ConditionWitness(COMPL_STRICT_GREEDY, 0, format_sequence(s),
-                             str(b), "digit exceeds first digit")
-        return UnivoqueCertificate("inadmissible", (w,), 0)
-
     w, n = _window(s)
-    cw = complement_word(w, b)
-    head = w[:n]
+    b, head = w[0], w[:n]
+    cw = complement_word(w, b) if complements else None
     failures = []
     # 22 and 24 are the same strict bound on complements: one flag
-    ok21 = ok23 = ok_compl = True
-    # b is the largest digit, so a shift (complement) can reach s only
-    # when its first digit w[j] is b (0); no slice is built otherwise
+    ok21 = ok23 = True
+    ok_compl = complements
+    # a shift (complement) can reach s only when its first digit w[j] is
+    # at least b (0); no slice is built otherwise
     for j in range(1, n + 1):
-        if w[j] == b and w[j:j + n] >= head:
+        if w[j] >= b and w[j:j + n] >= head:
             c = _order(w[j:j + n], head)
             if ok21:
                 ok21 = False
@@ -139,41 +139,46 @@ def classify(s: EPSequence) -> UnivoqueCertificate:
             failures.append((COMPL_STRICT_QUASI, j, c))
         if not (ok21 or ok23 or ok_compl):
             break
+    return failures
 
-    if ok21 and ok_compl:
+
+def classify(s: EPSequence) -> UnivoqueCertificate:
+    """Evaluate all four shift conditions on the distinct shifts of s, by
+    one `_scan`; a digit above the first fails them all at once."""
+    b = s.digit(1)
+    if s.max_digit > b:
+        w = ConditionWitness(COMPL_STRICT_GREEDY, 0, format_sequence(s),
+                             str(b), "digit exceeds first digit")
+        return UnivoqueCertificate("inadmissible", (w,), 0)
+    failures = _scan(s, complements=True)
+    failed = {cond for cond, _, _ in failures}
+    if not failed & {SHIFT_STRICT, COMPL_STRICT_GREEDY}:
         verdict = "univoque"
-    elif ok23 and ok_compl:
+    elif not failed & {SHIFT_WEAK, COMPL_STRICT_QUASI}:
         verdict = "closure_only"
     else:
         verdict = "inadmissible"
-    return UnivoqueCertificate(verdict, _witnesses(s, failures), n)
+    return UnivoqueCertificate(verdict, _witnesses(s, failures),
+                               len(s.preperiod) + len(s.period))
 
 
 def check_greedy_admissible(s: EPSequence):
     """Is s the greedy expansion of 1 for some base (Parry's condition)?
 
     Returns (bool, witness-or-None); the witness records the smallest
-    failing shift index.  Shifts are compared on one digit window, as in
-    `classify`."""
-    w, n = _window(s)
-    head = w[:n]
-    for j in range(1, n + 1):
-        if w[j] >= w[0] and w[j:j + n] >= head:
-            c = _order(w[j:j + n], head)
-            return False, _witnesses(s, [(SHIFT_STRICT, j, c)])[0]
+    failing shift index."""
+    # a shift that fails 23 fails 21, so the first failure is one of 21
+    failures = _scan(s, complements=False)
+    if failures:
+        return False, _witnesses(s, failures[:1])[0]
     return True, None
 
 
 def check_quasi_greedy_admissible(s: EPSequence) -> bool:
     """Is s the quasi-greedy expansion of 1 for some q > 1?  Requires
-    infinitely many nonzero digits plus the non-strict shift condition,
-    checked on one digit window as in `classify`."""
-    if s.is_finite():
-        return False
-    w, n = _window(s)
-    head = w[:n]
-    return not any(w[j] >= w[0] and w[j:j + n] > head
-                   for j in range(1, n + 1))
+    infinitely many nonzero digits plus the non-strict shift condition."""
+    return not s.is_finite() and all(
+        cond != SHIFT_WEAK for cond, _, _ in _scan(s, complements=False))
 
 
 def find_m(s: EPSequence, k: int, cap: int | None = None) -> int:

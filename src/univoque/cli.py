@@ -201,7 +201,7 @@ def kl(eps, as_json):
 def oracle_cmd(base, depth, counts, as_json):
     """Enumerate all viable expansion prefixes of 1 (brute force)."""
     # the verdict needs a level; refused before the base is parsed
-    oracle.require_depth(depth, 1)
+    expansions.require_depth(depth, 1)
     tree = oracle.enumerate_expansions(parse_base(base), depth,
                                        level_cap=_max_work(oracle.LEVEL_CAP),
                                        counts_only=counts)

@@ -17,6 +17,7 @@ from functools import cached_property
 
 from . import polynomials as pl
 from .algebraic import AlgebraicReal, DomainError, floor_of, refine, sign_at
+from .characterization import check_greedy_admissible
 from .words import EPSequence, ep_sequence, word
 
 
@@ -27,7 +28,13 @@ class NoBaseError(ValueError):
 @dataclass(frozen=True)
 class ExpansionPrefix:
     digits: tuple
-    depth: int
+
+
+def require_depth(depth: int, least: int = 0) -> None:
+    """Expansion and enumeration take depth >= 0; a uniqueness verdict
+    needs >= 1."""
+    if depth < least:
+        raise DomainError("depth must be >= %d, got %d" % (least, depth))
 
 
 def value(s: EPSequence, q) -> Fraction:
@@ -199,8 +206,7 @@ def _expand(q, n: int, strict: bool) -> ExpansionPrefix:
     """n digits of the greedy expansion of 1 (each digit the largest with
     q r - c >= 0), or with strict=True of the quasi-greedy one (q r - c > 0).
     """
-    if n < 0:
-        raise DomainError("depth must be >= 0, got %d" % n)
+    require_depth(n)
     b = base_arithmetic(q)
     if strict and q_minus_1_sign(b) <= 0:
         raise DomainError("quasi-greedy expansion requires q > 1")
@@ -218,7 +224,7 @@ def _expand(q, n: int, strict: bool) -> ExpansionPrefix:
             # the residual is 0, and so is every later greedy digit
             digits += [0] * (n - len(digits))
         r = minus(x, d)
-    return ExpansionPrefix(word(digits), n)
+    return ExpansionPrefix(word(digits))
 
 
 def greedy_expansion(q, n: int) -> ExpansionPrefix:
@@ -234,8 +240,6 @@ def quasi_greedy_expansion(q, n: int) -> ExpansionPrefix:
 def quasi_from_greedy(g) -> EPSequence:
     """Periodic quasi-greedy expansion sharing the base of the finite greedy
     word g: (g_1 ... g_{m-1} (g_m - 1))^infinity."""
-    from .characterization import check_greedy_admissible
-
     g = word(g)
     if not g or g[-1] < 1:
         raise ValueError("greedy word must end in a nonzero digit")

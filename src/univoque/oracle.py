@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebraic import DomainError
-from .expansions import base_arithmetic, q_minus_1_sign
+from .expansions import base_arithmetic, q_minus_1_sign, require_depth
 
 # the default bound on the prefixes kept per level
 LEVEL_CAP = 100_000
@@ -84,12 +84,6 @@ def enumerate_expansions(base, depth: int, level_cap: int = LEVEL_CAP,
         levels.append(None if counts_only
                       else tuple(p for p, _ in frontier))
     return PrefixTree(depth, tuple(levels), tuple(counts), exhaustive)
-
-
-def require_depth(depth: int, least: int = 0) -> None:
-    """Enumeration takes depth >= 0; a uniqueness verdict needs >= 1."""
-    if depth < least:
-        raise DomainError("depth must be >= %d, got %d" % (least, depth))
 
 
 def unique_prefix(tree: PrefixTree) -> bool:

@@ -32,14 +32,6 @@ def is_zero(p: tuple) -> bool:
     return len(p) == 0
 
 
-def evaluate(p: tuple, x):
-    """Evaluate p at x by Horner's rule. x may be int or Fraction."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def scaled_value(p: tuple, n: int, d: int) -> int:
     """d^k * p(n/d) as an exact integer, k = len(p) - 1 and d > 0.
 
@@ -111,10 +103,7 @@ def poly_gcd(a: tuple, b: tuple) -> tuple:
 
 # Bounded: a long-lived process sees a new polynomial per base and per
 # zero test, and an unbounded cache would keep every one of them.
-_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=256)
 def squarefree_part(p: tuple) -> tuple:
     """p divided by gcd(p, p'); shares exactly the distinct roots of p."""
     d = derivative(p)
@@ -126,7 +115,6 @@ def squarefree_part(p: tuple) -> tuple:
     return primitive(_divmod(p, g)[0])
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def sturm_chain(p: tuple) -> tuple:
     """Sturm chain of the squarefree part of p, as primitive integer polys."""
     f = squarefree_part(p)

@@ -104,12 +104,10 @@ def complement_word(w: tuple, b: int) -> tuple:
     return tuple(b - d for d in w)
 
 
-def complement(s, b: int):
-    """Digitwise b - digit, for a Word or an EPSequence."""
-    if isinstance(s, EPSequence):
-        return ep_sequence(complement_word(s.preperiod, b),
-                           complement_word(s.period, b))
-    return complement_word(tuple(s), b)
+def complement(s: EPSequence, b: int) -> EPSequence:
+    """Digitwise b - digit; `complement_word` does it for a word."""
+    return ep_sequence(complement_word(s.preperiod, b),
+                       complement_word(s.period, b))
 
 
 def lex_compare(a: EPSequence, b: EPSequence) -> int:
@@ -165,7 +163,6 @@ def format_word(w: tuple) -> str:
     return "[" + ",".join(str(d) for d in w) + "]"
 
 
-def format_sequence(s) -> str:
-    if isinstance(s, EPSequence):
-        return str(s)
-    return format_word(tuple(s))
+def format_sequence(s: EPSequence) -> str:
+    """The SEQ form of s; `format_word` formats a word."""
+    return str(s)

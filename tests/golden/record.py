@@ -66,6 +66,15 @@ COMMANDS = README + [
     ["check", "([10,0,0,10])", "--which", "closure"],
     ["check", "[12,3]([3,12])", "--which", "greedy"],
 ] + [
+    # failing greedy checks: a digit above the first (witness at j = 1)
+    # and a shift equal to the sequence
+    ["check", "12(0)", "--which", "greedy"],
+    ["check", "(10)", "--which", "greedy"],
+    # failing quasi checks: two shifts above the sequence, a finite one
+    ["check", "1(2)", "--which", "quasi"],
+    ["check", "100(1)", "--which", "quasi"],
+    ["check", "11(0)", "--which", "quasi"],
+] + [
     # residual denominators: a non-monic polynomial, a negative leading
     # coefficient, a non-monic quadratic, and the same base as a rational
     cmd

@@ -19,6 +19,18 @@ GOLDEN = (-1, -1, 1)        # q^2 - q - 1
 TRIB = (-1, -1, -1, 1)      # q^3 - q^2 - q - 1
 
 
+def _ends(a):
+    return a.lo, a.hi
+
+
+def _horner(p, x):
+    """p(x) by Horner's rule in Fractions: the reference for scaled_value."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 def test_sturm_count_examples():
     assert sturm_count(GOLDEN, F(1), F(2)) == 1
     assert sturm_count((-3, 1), F(1), F(2)) == 0
@@ -48,7 +60,7 @@ def test_sturm_endpoint_root_is_refused():
 def test_refine_examples():
     a = algebraic_real(GOLDEN, 1, 2)
     r = refine(a, F(1, 100))
-    assert r.width <= F(1, 100)
+    assert r.hi - r.lo <= F(1, 100)
     assert r.lo < F(1618, 1000) < r.hi
     assert sturm_count(r.poly, r.lo, r.hi) == 1
 
@@ -163,7 +175,7 @@ def _isolate_roots(p, lo, hi, parts=64):
     a = F(lo)
     for _ in range(parts):
         b = a + step
-        if pl.evaluate(p, a) != 0 and pl.evaluate(p, b) != 0:
+        if _horner(p, a) != 0 and _horner(p, b) != 0:
             if sturm_count(p, a, b) == 1:
                 out.append((a, b))
         a = b
@@ -220,12 +232,11 @@ def test_scaled_value_matches_fraction_horner():
         p = tuple(rng.randint(-50, 50) for _ in range(rng.randint(1, 9)))
         n, d = rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)
         assert pl.scaled_value(p, n, d) == \
-            d ** (len(p) - 1) * pl.evaluate(p, F(n, d))
+            d ** (len(p) - 1) * _horner(p, F(n, d))
 
 
 def test_polynomial_caches_are_bounded():
-    for cached in (pl.squarefree_part, pl.sturm_chain):
-        assert cached.cache_info().maxsize is not None
+    assert pl.squarefree_part.cache_info().maxsize is not None
 
 
 def _mul(p, q):
@@ -300,7 +311,7 @@ def test_solve_base_interval_passes_the_sturm_cross_check(pre, per):
     assert sturm_count(a.poly, a.lo, a.hi) == 1
     sf = AlgebraicReal(pl.squarefree_part(a.poly), a.lo, a.hi)
     eps = F(1, 2 ** 200)
-    assert refine(a, eps).interval == refine(sf, eps).interval
+    assert _ends(refine(a, eps)) == _ends(refine(sf, eps))
 
 
 def _pell_near_misses(k):
@@ -324,7 +335,7 @@ def test_odd_multiplicity_base_bisects_its_own_polynomial(power, monkeypatch):
     monkeypatch.setattr(pl, "squarefree_part",
                         lambda f: sf_args.append(f) or real_sf(f))
     for eps in (F(1, 3), F(1, 1000), F(1, 2 ** 200)):
-        assert refine(a, eps).interval == refine(b, eps).interval
+        assert _ends(refine(a, eps)) == _ends(refine(b, eps))
     assert floor_of(a) == floor_of(b) == (1, False)
     assert sf_args == []
     algebraic._REFINED.clear()
@@ -346,8 +357,7 @@ def test_even_multiplicity_base_falls_back_to_the_squarefree_part(
                         lambda f: sf_args.append(f) or real_sf(f))
     a = AlgebraicReal((4, 0, -4, 0, 1), 1, 2)           # (q^2 - 2)^2
     b = AlgebraicReal((-2, 0, 1), 1, 2)
-    assert refine(a, F(1, 2 ** 64)).interval == \
-        refine(b, F(1, 2 ** 64)).interval
+    assert _ends(refine(a, F(1, 2 ** 64))) == _ends(refine(b, F(1, 2 ** 64)))
     assert sf_args == [a.poly]
 
 

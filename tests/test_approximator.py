@@ -7,11 +7,18 @@ import pytest
 from univoque import approximator
 from univoque.algebraic import refine
 from univoque.approximator import (NTooSmallError, NotInClosureError,
-                                   approximate, construct_gamma)
+                                   approximate)
 from univoque.characterization import classify
 from univoque.expansions import poly_from_sequence
 from univoque.words import LT, ep_sequence, lex_compare
 from univoque import polynomials as pl
+
+
+def construct_gamma(alpha, N):
+    """(gamma_N, k, m) for the target (alpha)^inf, as `approximate` builds
+    it."""
+    s, k, m = approximator._target(alpha)
+    return approximator._gamma(s, k, m, N), k, m
 
 
 def test_construct_gamma_tribonacci_target():
@@ -80,8 +87,9 @@ def test_approximate_tribonacci_records():
         assert r.certificate.verdict == "univoque"
         assert classify(r.gamma).is_univoque
         assert r.base.poly == poly_from_sequence(r.gamma)
-        assert pl.evaluate(r.base.poly, r.base.lo) * \
-            pl.evaluate(r.base.poly, r.base.hi) < 0
+        lo, hi = r.base.lo, r.base.hi
+        assert pl.scaled_value(r.base.poly, lo.numerator, lo.denominator) * \
+            pl.scaled_value(r.base.poly, hi.numerator, hi.denominator) < 0
         assert pl.degree(r.base.poly) <= r.k * r.N + 2 * r.m
         assert lex_compare(r.gamma, ep_sequence((), r.alpha)) == LT
     gaps = [r.gap for r in records]
@@ -129,5 +137,5 @@ def test_record_serialization_fields():
 def test_gap_dominates_interval_slack():
     records = approximate((1, 1, 0), 2, 4)
     for r in records:
-        assert r.base.width <= r.gap
-        assert r.target_base.width <= r.gap
+        assert r.base.hi - r.base.lo <= r.gap
+        assert r.target_base.hi - r.target_base.lo <= r.gap

@@ -87,7 +87,9 @@ def test_poly_from_sequence_is_one_minus_value_times_a_positive_factor(
     assume(any(s.preperiod) or any(s.period))
     q = 1 + F(n, d)
     p, r = len(s.preperiod), len(s.period)
-    assert pl.evaluate(poly_from_sequence(s), q) == \
+    P = poly_from_sequence(s)
+    assert F(pl.scaled_value(P, q.numerator, q.denominator),
+             q.denominator ** (len(P) - 1)) == \
         q ** p * (q ** r - 1) * (1 - value(s, q))
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from univoque.words import (EPSequence, LT, EQ, GT, ParseError,
-                            complement, ep_sequence, format_sequence,
+                            complement, complement_word, ep_sequence,
+                            format_sequence,
                             format_word, lex_compare,
                             parse_sequence, parse_word, shift)
 
@@ -32,11 +33,13 @@ def test_shift_examples():
 
 
 def test_complement_examples():
-    assert complement((1, 1, 0, 1), 1) == (0, 0, 1, 0)
+    assert complement_word((1, 1, 0, 1), 1) == (0, 0, 1, 0)
     assert complement(ep_sequence((), (0, 1)), 1) == ep_sequence((), (1, 0))
-    assert complement((2, 2, 0), 2) == (0, 0, 2)
+    assert complement_word((2, 2, 0), 2) == (0, 0, 2)
     with pytest.raises(ValueError):
-        complement((2, 0), 1)
+        complement_word((2, 0), 1)
+    with pytest.raises(ValueError):
+        complement(ep_sequence((2,), (0,)), 1)
 
 
 def test_lex_compare_examples():
@@ -89,9 +92,10 @@ def test_shift_additivity(s, i, j):
     assert shift(shift(s, i), j) == shift(s, i + j)
 
 
-@given(words_any, st.integers(3, 9))
-def test_complement_involution(w, b):
-    assert complement(complement(w, b), b) == w
+@given(words_any, sequences, st.integers(3, 9))
+def test_complement_involution(w, s, b):
+    assert complement_word(complement_word(w, b), b) == w
+    assert complement(complement(s, b), b) == s
 
 
 @given(sequences, sequences)
