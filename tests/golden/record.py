@@ -116,6 +116,16 @@ COMMANDS = README + [
     ["approximate", "110", "--from", "38", "--to", "40"],
     ["approximate", "1110", "--from", "28", "--to", "30"],
     ["approximate", "110100", "--from", "13", "--to", "15"],
+] + [
+    # full level listings: the order of the prefixes within each level
+    ["oracle", "seq:(10)", "--depth", "30"],
+    ["oracle", "3/2", "--depth", "12"],
+    # Pisot bases, where few residuals recur across many prefixes, and
+    # 151/100, where no residual recurs
+    ["oracle", "seq:(110)", "--depth", "150", "--counts"],
+    ["oracle", "seq:(1110)", "--depth", "150", "--counts"],
+    ["oracle", "151/100", "--depth", "16", "--counts"],
+    ["oracle", "seq:110110(11010010)", "--depth", "36", "--counts"],
 ]
 
 
