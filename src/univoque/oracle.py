@@ -7,6 +7,12 @@ one residual arithmetic of `expansions` (AlgebraicBase; a rational is its
 degree-1 case), so everything is decided exactly; the rule itself is this
 module's own, not the greedy floor rule.  A base is a rational, an
 AlgebraicReal or an eventually periodic sequence, as for `expansions`.
+
+The children of a prefix depend only on its residual, and at a Pisot base
+the residuals in a bounded interval form a finite set (Garsia 1962), so
+many prefixes share one.  `enumerate_expansions` keeps each residual's
+children in one memo per call, cleared when it holds `level_cap`
+residuals, so the sign tests run once per distinct residual.
 """
 
 from __future__ import annotations
@@ -46,9 +52,11 @@ def _below_tail(b, r, qr) -> bool:
 
 def _children(b, x):
     """(c, q r) for the viable children r = x - c of a prefix whose residual
-    times q is x, largest digit first.  x - c grows as c falls, so every
-    digit below the first child with x - c >= 0 passes that test too, and
-    the first child above the tail bound ends the list."""
+    times q is x, largest digit first (`greedy_via_oracle` takes the first;
+    `enumerate_expansions` keeps them all, smallest digit first).  x - c
+    grows as c falls, so every digit below the first child with x - c >= 0
+    passes that test too, and the first child above the tail bound ends the
+    list."""
     minus, sign, times_q = b.minus, b.sign, b.times_q
     nonneg = False
     for c in range(b.cap, -1, -1):
@@ -66,16 +74,23 @@ def enumerate_expansions(base, depth: int, level_cap: int = LEVEL_CAP,
     """All viable digit prefixes of expansions of 1, level by level."""
     require_depth(depth)
     b = _base(base, level_cap)
-    # each prefix is kept with its residual times q
+    # each prefix is kept with its residual times q; the frontier is sorted
+    # and each prefix's children come smallest digit first, so the next
+    # level comes out sorted too
     frontier = [((), b.times_q(b.root()))]
+    memo = {}
     levels, counts = [], []
     exhaustive = True
     for _ in range(depth):
         nxt = []
         for prefix, x in frontier:
-            for c, qr in _children(b, x):
+            children = memo.get(x)
+            if children is None:
+                if len(memo) >= level_cap:
+                    memo.clear()
+                children = memo[x] = list(_children(b, x))[::-1]
+            for c, qr in children:
                 nxt.append((prefix + (c,), qr))
-        nxt.sort(key=lambda pr: pr[0])
         if len(nxt) > level_cap:
             nxt = nxt[:level_cap]
             exhaustive = False

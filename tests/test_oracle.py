@@ -4,13 +4,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from univoque import oracle
 from univoque.algebraic import DomainError
 from univoque.approximator import approximate
 from univoque.expansions import (greedy_expansion, quasi_greedy_expansion,
                                  solve_base)
-from univoque.oracle import (certify_unique_prefix, enumerate_expansions,
-                             greedy_via_oracle, unique_prefix)
+from univoque.oracle import (LEVEL_CAP, PrefixTree, certify_unique_prefix,
+                             enumerate_expansions, greedy_via_oracle,
+                             unique_prefix)
 from univoque.words import ep_sequence
 
 S10 = ep_sequence((), (1, 0))
@@ -133,3 +136,84 @@ def test_closure_only_bases_are_refuted_quickly():
         base = solve_base(s)
         depth = len(s.preperiod) + 2 * len(s.period) + 5
         assert not certify_unique_prefix(base, depth)
+
+
+def _enumerate_per_prefix(base, depth, level_cap, counts_only):
+    """The enumeration `enumerate_expansions` must reproduce, without its
+    residual memo: `_children` runs for every prefix, and a sort puts each
+    level in order."""
+    b = oracle._base(base, level_cap)
+    frontier = [((), b.times_q(b.root()))]
+    levels, counts = [], []
+    exhaustive = True
+    for _ in range(depth):
+        nxt = [(prefix + (c,), qr) for prefix, x in frontier
+               for c, qr in oracle._children(b, x)]
+        nxt.sort(key=lambda pr: pr[0])
+        if len(nxt) > level_cap:
+            nxt = nxt[:level_cap]
+            exhaustive = False
+        frontier = nxt
+        counts.append(len(frontier))
+        levels.append(None if counts_only
+                      else tuple(p for p, _ in frontier))
+    return PrefixTree(depth, tuple(levels), tuple(counts), exhaustive)
+
+
+@st.composite
+def _bases(draw):
+    """A rational a/b in (1, 4] with b <= 12, so residual denominators above
+    1 occur, or the base of a short sequence."""
+    if draw(st.booleans()):
+        b = draw(st.integers(1, 12))
+        return F(draw(st.integers(b + 1, 4 * b)), b)
+    s = ep_sequence(tuple(draw(st.lists(st.integers(0, 2), max_size=4))),
+                    tuple(draw(st.lists(st.integers(0, 2), min_size=1,
+                                        max_size=4))))
+    assume(s.digit_sum >= 2)
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=_bases(), depth=st.integers(1, 25),
+       level_cap=st.sampled_from([2, 5, LEVEL_CAP]),
+       counts_only=st.booleans())
+def test_enumerate_matches_the_per_prefix_reference(base, depth, level_cap,
+                                                    counts_only):
+    """The memo, cleared at `level_cap` residuals, and the sort-free level
+    order give the tree the per-prefix loop gives, truncated or not."""
+    b = oracle._base(base, LEVEL_CAP)
+    assume(b.cap + 1 <= level_cap)
+    # about ((cap + 1) / q)^depth prefixes survive at the last level; keep
+    # the uncapped runs small
+    assume(((b.cap + 1) / b.a.lo) ** depth <= 3000 or level_cap < LEVEL_CAP)
+    assert enumerate_expansions(base, depth, level_cap, counts_only) == \
+        _enumerate_per_prefix(base, depth, level_cap, counts_only)
+
+
+def _count_children(monkeypatch):
+    calls = []
+    children = oracle._children
+    monkeypatch.setattr(oracle, "_children",
+                        lambda b, x: calls.append(x) or children(b, x))
+    return calls
+
+
+def test_children_run_once_per_distinct_residual(monkeypatch):
+    calls = _count_children(monkeypatch)
+    # the golden ratio is a Pisot number: 1,275 parents, 4 residuals
+    tree = enumerate_expansions(solve_base(S10), 50, counts_only=True)
+    assert 1 + sum(tree.counts[:-1]) == 1275
+    assert len(calls) == len(set(calls)) == 4
+    # at 151/100 the residual denominators grow by 100 per level, so no
+    # residual repeats and every parent runs its own
+    calls.clear()
+    tree = enumerate_expansions(F(151, 100), 16, counts_only=True)
+    assert len(calls) == len(set(calls)) == 1 + sum(tree.counts[:-1])
+
+
+def test_residual_memo_is_cleared_at_the_level_cap(monkeypatch):
+    calls = _count_children(monkeypatch)
+    enumerate_expansions(solve_base(S10), 50, level_cap=2, counts_only=True)
+    # 3 residuals do not fit a memo of 2, so some residual runs again
+    assert len(calls) > len(set(calls)) == 3
