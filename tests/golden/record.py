@@ -53,6 +53,10 @@ COMMANDS = README + [
     # the bisection count and the Thue-Morse prefix length it needed
     ["kl", "--eps", "1e-30"],
     ["kl", "--eps", "1e-54"],
+    ["kl", "--eps", "1e-60"],
+    ["kl", "--eps", "1e-100"],
+    # a non-dyadic eps
+    ["kl", "--eps", "7/1000"],
 ] + [
     # gamma_80 for the target (110100): preperiod 480, period 16
     ["check", GAMMA_110100_80, "--which", which]
