@@ -41,6 +41,11 @@ def _max_work(default: int) -> int:
 
 def _frac(text: str) -> Fraction:
     try:
+        # Fraction expands a decimal exponent to a full integer: refuse one
+        # above 4,300 in magnitude, as int() refuses 4,300 digits
+        if ("e" in text or "E" in text) and \
+                abs(int(re.split("[eE]", text)[-1])) > 4300:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError("invalid rational: %r" % text)

@@ -269,53 +269,61 @@ def thue_morse_prefix(n: int) -> tuple:
 
 
 # extra bits of the fixed-point filter beyond bits(d), which resolves a
-# bisection midpoint, and bits(L), which absorbs the error of the tail
-# power: that error grows about linearly in L
+# bisection midpoint, and bits(L): the enclosure is a few units wide, so
+# only a near-tie reaches the exact fallback
 _KL_GUARD = 24
 
 
-def _fixed_mul(a: int, b: int, prec: int, up: bool) -> int:
-    """a * b / 2^prec rounded up or down, for a, b >= 0."""
-    return -(-(a * b) >> prec) if up else (a * b) >> prec
+def _kl_bound(L: int, n: int, d: int, p: int, up: bool) -> tuple:
+    """One side of `_kl_enclosure`: (2^p S, 2^p x^(L+1)) at x = d/n, every
+    product rounded down, or up with up=True."""
+    def mul(a, b):
+        return -(-(a * b) >> p) if up else (a * b) >> p
 
-
-def _fixed_pow(x: int, e: int, prec: int, up: bool) -> int:
-    """x^e in fixed point (scale 2^prec) by squaring, every product rounded
-    the same way, so the result is a lower (upper) bound when x is."""
-    r = 1 << prec
-    while e:
-        if e & 1:
-            r = _fixed_mul(r, x, prec, up)
-        x = _fixed_mul(x, x, prec, up)
-        e >>= 1
-    return r
+    x = -(-(d << p) // n) if up else (d << p) // n
+    blocks = [(0, 1 << p, x)]                   # (E_j, O_j, P_j)
+    for _ in range((L + 1).bit_length() - 1):
+        e, o, pw = blocks[-1]
+        blocks.append((e + mul(pw, o), o + mul(pw, e), mul(pw, pw)))
+    s, xa, odd = 0, 1 << p, False
+    for j in reversed(range(len(blocks))):
+        if (L + 1) >> j & 1:
+            e, o, pw = blocks[j]
+            s += mul(xa, o if odd else e)
+            xa = mul(xa, pw)
+            odd = not odd
+    return s, xa
 
 
 def _kl_enclosure(tau: list, n: int, d: int, prec: int) -> tuple:
     """(s_lo, s_hi, t_lo, t_hi) with s_lo <= 2^prec S <= s_hi and
     t_lo <= 2^prec T <= t_hi, where S = sum_{i<=L} tau_i q^-i and
-    T = q^-L / (q - 1) at q = n/d > 1, L = len(tau).
+    T = q^-L / (q - 1) at q = n/d > 1, for tau the Thue-Morse prefix of
+    length L: tau_i = t(i) = popcount(i) mod 2.
 
-    With x = 1/q = d/n, floor and ceil Horner in fixed point (scale
-    2^prec) from floor(x 2^prec) and ceil(x 2^prec) enclose S; binary
-    powering with the same rounding encloses x^L, and T = x^L d / (n - d).
-    Every quantity is >= 0, so rounding each product down (up) keeps a
-    lower (upper) bound.  Each Horner step widens the S enclosure by
-    about q/(q - 1) + 2 units and x < 1 damps what came before, so at a
-    precision well above bits(d) it stays within about
-    (q/(q - 1) + 2) q/(q - 1) units: 15 for q >= 3/2.
+    With x = 1/q, E_j = sum_{i<2^j} t(i) x^i, O_j = sum_{i<2^j} (1 - t(i))
+    x^i and P_j = x^(2^j) start at E_0 = 0, O_0 = 1 and double by
+    E_{j+1} = E_j + P_j O_j, O_{j+1} = O_j + P_j E_j, P_{j+1} = P_j^2.  The
+    binary digits of L + 1, high first, split [0, L] into blocks
+    [a, a + 2^j) with 2^(j+1) | a: a block adds x^a E_j when popcount(a) is
+    even, x^a O_j when odd.  The last x^a is x^(L+1), T = x^(L+1) n/(n - d).
+    Every quantity is >= 0, so from floor(x 2^p) (ceil) each product
+    rounded down (up) keeps a lower (upper) bound.
+
+    Width: the work runs at p = prec + g, g = bits(L) + 4, and rounds
+    outward once at the end.  With r = q/(q - 1), E_j, O_j < r, P_j < 1
+    and P_j is off by at most 2^j units, so the roundings of a side cost
+    of the order of r L units of 2^-p, and the rounding of x at most
+    dS/dx < r^2.  As 2^g >= 16 L, 2(r + 2)r units of 2^-prec bound the
+    width at every L and every prec.
     """
-    one = 1 << prec
-    x_lo = (d << prec) // n
-    x_hi = -(-(d << prec) // n)
-    s_lo = s_hi = 0
-    for t in reversed(tau):
-        s_lo = ((s_lo + t * one) * x_lo) >> prec
-        s_hi = -(-((s_hi + t * one) * x_hi) >> prec)
     L = len(tau)
-    t_lo = _fixed_pow(x_lo, L, prec, False) * d // (n - d)
-    t_hi = -(-_fixed_pow(x_hi, L, prec, True) * d // (n - d))
-    return s_lo, s_hi, t_lo, t_hi
+    g = L.bit_length() + 4
+    s_lo, x_lo = _kl_bound(L, n, d, prec + g, False)
+    s_hi, x_hi = _kl_bound(L, n, d, prec + g, True)
+    den = (n - d) << g
+    return (s_lo >> g, -(-s_hi >> g),
+            x_lo * n // den, -(-x_hi * n // den))
 
 
 def _kl_side(q: Fraction, tau: list) -> int:
@@ -327,7 +335,8 @@ def _kl_side(q: Fraction, tau: list) -> int:
     again.  It is decided in integers, with q = n/d:
 
     - filter: `_kl_enclosure` at prec = bits(d) + bits(L) + _KL_GUARD
-      decides each comparison it can;
+      decides each comparison it can, by Thue-Morse block doubling in
+      O(log L) products, at most 2(r + 2)r units wide, r = q/(q - 1);
     - fallback, for the one comparison the enclosure leaves open: n^L S is
       the integer d * scaled_value(reversed tau, n, d), so S > 1 iff it
       exceeds n^L, and S + T < 1 iff (n - d) n^L S + d^(L+1) is below
@@ -371,10 +380,10 @@ def kl_constant(eps) -> tuple:
     (lo, hi, prefix_length_used) with hi - lo <= eps.  The bracket starts
     at width 1/2 and halves each step, so eps fixes the step count; when it
     exceeds _KL_MAX_STEPS, DomainError is raised before any work.  Each step
-    decides its dyadic midpoint by `_kl_side`: a fixed-point enclosure
-    with directed rounding first, and one exact integer comparison only
-    for an outcome the enclosure leaves open, so lo, hi and the prefix
-    length are those of the exact rule.
+    decides its dyadic midpoint by `_kl_side`: a fixed-point enclosure by
+    Thue-Morse block doubling (E_{j+1} = E_j + P_j O_j, O_{j+1} = O_j +
+    P_j E_j) first, and one exact integer comparison only for an outcome
+    it leaves open, so lo, hi and the prefix length are the exact rule's.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -387,12 +396,14 @@ def kl_constant(eps) -> tuple:
     if steps > _KL_MAX_STEPS:
         raise DomainError("eps needs %d bisection steps, above max_iter = %d"
                           % (steps, _KL_MAX_STEPS))
-    lo, hi = Fraction(3, 2), Fraction(2)
+    # the bracket [3/2, 2] as integer numerators over 2^(steps + 1)
+    unit = 1 << (steps + 1)
+    lo, hi = 3 << steps, 2 * unit
     tau = list(thue_morse_prefix(32))
     for _ in range(steps):
-        mid = (lo + hi) / 2
-        if _kl_side(mid, tau) > 0:
+        mid = (lo + hi) >> 1
+        if _kl_side(Fraction(mid, unit), tau) > 0:
             lo = mid
         else:
             hi = mid
-    return lo, hi, len(tau)
+    return Fraction(lo, unit), Fraction(hi, unit), len(tau)

@@ -144,6 +144,23 @@ def test_kl_eps_beyond_the_iteration_cap_fails_at_once():
         ["error: eps needs 13287 bisection steps, above max_iter = 10000"]
 
 
+def test_huge_decimal_exponents_are_refused_at_once():
+    """Fraction would first expand 10^99999999 to a full integer; an
+    exponent of 4,300 is still read."""
+    for args, msg in (
+            (("kl", "--eps", "1e-99999999"),
+             "invalid rational: '1e-99999999'"),
+            (("expand", "1e99999999"), "invalid rational: '1e99999999'"),
+            (("kl", "--eps", "1e-4300"),
+             "eps needs 14284 bisection steps, above max_iter = 10000")):
+        t = time.perf_counter()
+        r = run(*args)
+        assert time.perf_counter() - t < 1
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == ["error: " + msg]
+
+
 def test_oracle_not_unique_and_unique():
     r = run("oracle", "seq:(110)", "--depth", "6", "--counts")
     assert r.exit_code == 1

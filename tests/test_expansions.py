@@ -299,6 +299,28 @@ def test_kl_enclosure_bounds_the_sum_and_the_tail(k, j, length, prec):
         assert s_hi - s_lo <= 2 * (r + 2) * r
 
 
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(1, 120), j=st.integers(1, 2 ** 120),
+       length=st.one_of(st.integers(0, 12).map(lambda e: 2 ** e),
+                        st.integers(1, 2 ** 12)),
+       prec=st.integers(4, 300))
+def test_kl_enclosure_holds_the_exact_integers_at_long_prefixes(k, j, length,
+                                                                 prec):
+    """Against n^L S = d scaled_value(reversed tau, n, d) and
+    n^L (n - d) T = d^(L+1), in integers, for L up to 2^12."""
+    q = 1 + F(j % (2 ** (k + 1)) + 1, 2 ** k)
+    n, d = q.numerator, q.denominator
+    tau = thue_morse_prefix(length)
+    s_lo, s_hi, t_lo, t_hi = expansions._kl_enclosure(tau, n, d, prec)
+    nl = n ** length
+    s = d * pl.scaled_value(tuple(reversed(tau)), n, d) << prec
+    assert s_lo * nl <= s <= s_hi * nl
+    tail = d ** (length + 1) << prec
+    assert t_lo * nl * (n - d) <= tail <= t_hi * nl * (n - d)
+    r = q / (q - 1)
+    assert s_hi - s_lo <= 2 * (r + 2) * r
+
+
 KL_FINE = kl_constant(F(1, 2 ** 400))[0]
 
 

@@ -42,6 +42,17 @@ def test_corpus_holds_every_recorded_command():
         [argv + ["--json"] for argv in record.COMMANDS]
 
 
+def _fresh(*argv):
+    """(stdout, seconds) of one `python -m univoque.cli` process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "univoque.cli", *argv],
+                          capture_output=True, check=True, env=env)
+    return proc.stdout, time.monotonic() - t0
+
+
 # sha256 of the stdout of `approximate 110 --from 2 --to 80 --json`, as the
 # one-bit-per-step bisection in `refine` printed it
 APPROXIMATE_110_TO_80 = \
@@ -51,14 +62,22 @@ APPROXIMATE_110_TO_80 = \
 def test_deep_approximants_are_unchanged_and_fast():
     """N = 80 refines q_N, a root of degree 246, to a gap near 2^-216, in a
     fresh process: the output is byte-identical and takes under 4 s."""
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    t0 = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "univoque.cli", "approximate", "110",
-         "--from", "2", "--to", "80", "--json"],
-        capture_output=True, check=True, env=env)
-    elapsed = time.monotonic() - t0
-    assert hashlib.sha256(proc.stdout).hexdigest() == APPROXIMATE_110_TO_80
+    out, elapsed = _fresh("approximate", "110", "--from", "2", "--to", "80",
+                          "--json")
+    assert hashlib.sha256(out).hexdigest() == APPROXIMATE_110_TO_80
     assert elapsed < 4.0
+
+
+# sha256 of the stdout of `kl --eps 1e-300 --json`, as the enclosure by one
+# Horner step per prefix term printed it
+KL_1E_300 = \
+    "af5ce9ff2e053a46c8047ebc0dce280caa01d309365d6370e27cd60634248ff3"
+
+
+def test_deep_kl_is_unchanged_and_fast():
+    """eps = 1e-300 takes 996 bisection steps, ending on a Thue-Morse
+    prefix of 2,048 terms, in a fresh process: the output is byte-identical and
+    takes under 1.5 s."""
+    out, elapsed = _fresh("kl", "--eps", "1e-300", "--json")
+    assert hashlib.sha256(out).hexdigest() == KL_1E_300
+    assert elapsed < 1.5
