@@ -41,8 +41,7 @@ def _max_work(default: int) -> int:
 
 def _frac(text: str) -> Fraction:
     try:
-        # Fraction expands a decimal exponent to a full integer: refuse one
-        # above 4,300 in magnitude, as int() refuses 4,300 digits
+        # Fraction builds 10^exp in full: refuse |exp| > 4,300 as int() does
         if ("e" in text or "E" in text) and \
                 abs(int(re.split("[eE]", text)[-1])) > 4300:
             raise ValueError
