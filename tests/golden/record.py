@@ -39,6 +39,11 @@ EXPAND_BASES = [
 ]
 
 GAMMA_110100_80 = "110100" * 80 + "(1101001100101100)"
+# gamma_520 for the target (110), canonical preperiod 1,558, and two
+# neighbours: shift windows of over 3,000 digits; (1) fails 21 at j = 3,
+# (0) fails 22 and 24 only at the last shift
+GAMMA_110_520 = "110" * 520 + "(11010010)"
+NEIGHBOURS_110_520 = ["110" * 520 + "(1)", "110" * 520 + "(0)"]
 
 COMMANDS = README + [
     ["expand", base, "--mode", mode, "--depth", "40"]
@@ -130,6 +135,10 @@ COMMANDS = README + [
     ["oracle", "seq:(1110)", "--depth", "150", "--counts"],
     ["oracle", "151/100", "--depth", "16", "--counts"],
     ["oracle", "seq:110110(11010010)", "--depth", "36", "--counts"],
+] + [
+    ["check", seq, "--which", which]
+    for seq in [GAMMA_110_520] + NEIGHBOURS_110_520
+    for which in ("univoque", "closure", "greedy", "quasi")
 ]
 
 
