@@ -70,10 +70,6 @@ def _rel(cmp: int) -> str:
     return {LT: "<", EQ: "=", GT: ">"}[cmp]
 
 
-def _order(a: tuple, b: tuple) -> int:
-    return (a > b) - (a < b)
-
-
 def _window(s: EPSequence):
     """(w, n): n = p + r distinct shifts and the first 2n digits of s."""
     n = len(s.preperiod) + len(s.period)
@@ -111,32 +107,69 @@ def _scan(s: EPSequence, complements: bool) -> list:
     (if any) falls within p + r digits: the bound `lex_compare` uses.  So
     with w the first 2n digits of s, sigma^j(s) compares with s as the
     word w[j:j+n] compares with w[:n], and its complement as the
-    complemented slice does.  Those are tuple comparisons; the shifted
-    sequences are built only for the witnesses, at most four.
+    complemented word does.
+
+    Both are read off longest common prefixes, capped at n:
+    z[j] = lcp(w[j:], w) (the Z-function) and y[j] = lcp(cw[j:], w), with
+    cw the complement of w.  sigma^j(s) equals s when z[j] = n; otherwise
+    the digits w[j + z[j]] and w[z[j]] decide the order.  Each array keeps
+    a box [l, e) whose digits are known to repeat a prefix of w
+    (w[l:e] = w[:e - l], and cw[l:e] = w[:e - l]); for j inside it the
+    lcp is z[j - l] when that ends before e, and otherwise it is extended
+    digit by digit from e.  A matching comparison moves e right within the
+    2n digits of w, and each j ends with at most one mismatch, so each
+    array costs at most n + p + r matches and n mismatches, against
+    n slices of n digits for the direct comparisons.  The pass stops at
+    the first j by which all of 21, 23 and the complement condition have
+    failed; the shifted sequences are built only for the witnesses, at
+    most four.
     """
     w, n = _window(s)
-    b, head = w[0], w[:n]
-    cw = complement_word(w, b) if complements else None
+    b = w[0]
     failures = []
     # 22 and 24 are the same strict bound on complements: one flag
     ok21 = ok23 = True
     ok_compl = complements
-    # a shift (complement) can reach s only when its first digit w[j] is
-    # at least b (0); no slice is built otherwise
+    # the boxes: w[zl:ze] = w[:ze - zl] and cw[yl:ye] = w[:ye - yl]
+    z = [n]
+    zl = ze = yl = ye = 0
     for j in range(1, n + 1):
-        if w[j] >= b and w[j:j + n] >= head:
-            c = _order(w[j:j + n], head)
+        # z[j]: inside the box it is z[j - zl] if that ends before ze;
+        # otherwise it is at least ze - j, and the digits from ze decide
+        k = ze - j
+        if k > 0 and z[j - zl] < k:
+            k = z[j - zl]
+        else:
+            if k < 0:
+                k = 0
+            while k < n and w[j + k] == w[k]:
+                k += 1
+            zl, ze = j, j + k
+        z.append(k)
+        if k == n or w[j + k] > w[k]:
+            c = EQ if k == n else GT
             if ok21:
                 ok21 = False
                 failures.append((SHIFT_STRICT, j, c))
             if c == GT and ok23:
                 ok23 = False
                 failures.append((SHIFT_WEAK, j, c))
-        if ok_compl and w[j] == 0 and cw[j:j + n] >= head:
-            ok_compl = False
-            c = _order(cw[j:j + n], head)
-            failures.append((COMPL_STRICT_GREEDY, j, c))
-            failures.append((COMPL_STRICT_QUASI, j, c))
+        if ok_compl:
+            # y[j] by the same rule, matched against z; cw[i] = b - w[i]
+            k = ye - j
+            if k > 0 and z[j - yl] < k:
+                k = z[j - yl]
+            else:
+                if k < 0:
+                    k = 0
+                while k < n and b - w[j + k] == w[k]:
+                    k += 1
+                yl, ye = j, j + k
+            if k == n or b - w[j + k] > w[k]:
+                ok_compl = False
+                c = EQ if k == n else GT
+                failures.append((COMPL_STRICT_GREEDY, j, c))
+                failures.append((COMPL_STRICT_QUASI, j, c))
         if not (ok21 or ok23 or ok_compl):
             break
     return failures

@@ -39,11 +39,16 @@ def _max_work(default: int) -> int:
     return min(default, cap)
 
 
+# the most decimal digits int() reads or prints by default
+# (sys.int_info.default_max_str_digits)
+_MAX_DIGITS = 4300
+
+
 def _frac(text: str) -> Fraction:
     try:
         # Fraction builds 10^exp in full: refuse |exp| > 4,300 as int() does
         if ("e" in text or "E" in text) and \
-                abs(int(re.split("[eE]", text)[-1])) > 4300:
+                abs(int(re.split("[eE]", text)[-1])) > _MAX_DIGITS:
             raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -75,7 +80,12 @@ def parse_base(text: str):
     if text.startswith("poly:"):
         raise ParseError("polynomial base must look like "
                          "'poly:1,-1,-1 in (1,2)'")
-    return _frac(text)
+    q = _frac(text)
+    # a greedy digit up to floor(q) is printed in decimal
+    if q >= 10 ** _MAX_DIGITS:
+        raise ParseError("base %r has an integer part of more than %d "
+                         "digits" % (text, _MAX_DIGITS))
+    return q
 
 
 def _fmt_frac(x: Fraction) -> str:

@@ -1,6 +1,7 @@
 """Shift-condition checkers, the m-search and the doubling-block lemma."""
 
 import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -263,6 +264,33 @@ def test_window_checks_match_the_per_shift_reference(s):
     _assert_matches_reference(s)
 
 
+@st.composite
+def _long_windows(draw):
+    """A block repeated up to about 300 digits, then a short tail, as the
+    preperiod: shifted and complemented windows then agree with the
+    sequence over long stretches, where the scan reuses earlier common
+    prefix lengths.  The period is short, or the block followed by its
+    complement, as in gamma_N."""
+    top = draw(st.integers(1, 3))
+    digit = st.integers(0, top)
+    block = draw(st.lists(digit, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        block[0] = top
+    pre = block * draw(st.integers(1, 300 // len(block))) + \
+        draw(st.lists(digit, max_size=8))
+    if draw(st.booleans()):
+        per = block + [top - d for d in block]
+    else:
+        per = draw(st.lists(digit, min_size=1, max_size=8))
+    return ep_sequence(pre, per)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_windows())
+def test_window_checks_match_the_reference_on_long_windows(s):
+    _assert_matches_reference(s)
+
+
 def test_window_checks_match_on_approximant_sequences():
     """Long gamma_N and their neighbours leaving the closure, as in the
     approximant pipeline."""
@@ -284,6 +312,26 @@ def test_window_checks_match_on_every_short_binary_sequence():
         for digs in itertools.product((0, 1), repeat=length):
             for p in range(length):
                 _assert_matches_reference(ep_sequence(digs[:p], digs[p:]))
+
+
+def test_window_checks_take_linear_time():
+    """60,000-digit windows: gamma_20000 for (110), univoque, and its
+    neighbour 110...110(1), which fails 21 and 23 at j = 3 but passes 22, so
+    its complements are scanned to the end.  One slice comparison per shift
+    took 27 s on the neighbour."""
+    gamma = ep_sequence((1, 1, 0) * 20000, (1, 1, 0, 1, 0, 0, 1, 0))
+    neighbour = ep_sequence((1, 1, 0) * 20000, (1,))
+    for s, verdict, greedy, quasi in ((gamma, "univoque", True, True),
+                                      (neighbour, "inadmissible", False,
+                                       False)):
+        for check, want in ((lambda s: classify(s).verdict, verdict),
+                            (lambda s: check_greedy_admissible(s)[0], greedy),
+                            (check_quasi_greedy_admissible, quasi)):
+            t = time.perf_counter()
+            assert check(s) == want
+            assert time.perf_counter() - t < 1
+    assert [(w.condition, w.j) for w in classify(neighbour).witnesses] == \
+        [(21, 3), (23, 3)]
 
 
 def test_witnesses_build_at_most_four_shifts(monkeypatch):

@@ -161,6 +161,24 @@ def test_huge_decimal_exponents_are_refused_at_once():
         assert r.stderr.splitlines() == ["error: " + msg]
 
 
+def test_rational_bases_above_4300_integer_digits_are_refused_at_once():
+    """The greedy digits of such a base could not be printed; its floor
+    would first cost one sign test per bit."""
+    for args, base in ((("expand", "1e4300", "--depth", "2"), "1e4300"),
+                       (("expand", "99999e4296", "--depth", "1"),
+                        "99999e4296"),
+                       (("oracle", "1e4300", "--depth", "1"), "1e4300")):
+        t = time.perf_counter()
+        r = run(*args)
+        assert time.perf_counter() - t < 0.5
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            "error: base %r has an integer part of more than 4300 digits"
+            % base]
+    assert parse_base("1e4299") == 10 ** 4299
+
+
 def test_oracle_not_unique_and_unique():
     r = run("oracle", "seq:(110)", "--depth", "6", "--counts")
     assert r.exit_code == 1

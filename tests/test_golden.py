@@ -81,3 +81,19 @@ def test_deep_kl_is_unchanged_and_fast():
     out, elapsed = _fresh("kl", "--eps", "1e-300", "--json")
     assert hashlib.sha256(out).hexdigest() == KL_1E_300
     assert elapsed < 1.5
+
+
+# sha256 of the stdout of `check <gamma_20000 for (110)> --which univoque
+# --json`, as one slice comparison per shift printed it
+CHECK_GAMMA_110_20000 = \
+    "33f1590036f0f68471dc82dce4ad31a31fdb3c9fa0e7e7ff994820f84cb1f0cb"
+
+
+def test_check_of_a_60000_digit_sequence_is_unchanged_and_fast():
+    """A 60,010-character argument, 60,006 distinct shifts: univoque (exit
+    0), byte-identical, and under 2 s in a fresh process (16 s before the
+    shift scan ran in linear time)."""
+    out, elapsed = _fresh("check", "110" * 20000 + "(11010010)",
+                          "--which", "univoque", "--json")
+    assert hashlib.sha256(out).hexdigest() == CHECK_GAMMA_110_20000
+    assert elapsed < 2.0
