@@ -4,10 +4,19 @@ A sequence is the greedy expansion of some base iff every shifted tail is
 strictly below the sequence itself (condition 21).  Univoqueness adds the
 same strict bound for complemented tails (22).  The closure of the
 univoque set relaxes 21 to non-strict (23) while keeping the complement
-condition strict (24).  All quantifiers over shifts reduce to the finite
-set of distinct shifts of the canonical eventually periodic form, and one
-scan of a digit window (`_scan`) decides them for `classify` and for the
-greedy and quasi-greedy admissibility checks.
+condition strict (24).  All quantifiers over shifts reduce to the n = p + r
+distinct shifts of the canonical eventually periodic form (preperiod p,
+period r), and one scan of the first 2n digits (`_scan`) decides them for
+`classify` and for the greedy and quasi-greedy admissibility checks.
+
+The scan reads each order off a longest common prefix with the sequence:
+z[j] for the j-th shift (the Z-function of the window; Gusfield,
+Algorithms on Strings, Trees and Sequences, 1997, section 1.4) and y[j]
+for its complement (matching statistics against the same z array).  Both are
+built left to right from earlier values, and every digit comparison that
+matches extends a known match further into the window, so the pass makes
+at most n + p + r matching comparisons per array and one mismatch per
+shift: linear in n, where comparing each shift directly costs n^2.
 """
 
 from __future__ import annotations
