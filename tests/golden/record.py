@@ -139,6 +139,14 @@ COMMANDS = README + [
     ["check", seq, "--which", which]
     for seq in [GAMMA_110_520] + NEIGHBOURS_110_520
     for which in ("univoque", "closure", "greedy", "quasi")
+] + [
+    # a listing where several adjacent prefixes share a residual with two
+    # viable digits: the order of their children within the level
+    ["oracle", "seq:(10)", "--depth", "40"],
+    # deep counts: few residuals over long runs of prefixes, and an
+    # integer base whose level counts keep growing
+    ["oracle", "seq:(110)", "--depth", "600", "--counts"],
+    ["oracle", "2", "--depth", "300", "--counts"],
 ]
 
 
