@@ -140,9 +140,12 @@ COMMANDS = README + [
     for seq in [GAMMA_110_520] + NEIGHBOURS_110_520
     for which in ("univoque", "closure", "greedy", "quasi")
 ] + [
-    # a listing where several adjacent prefixes share a residual with two
-    # viable digits: the order of their children within the level
+    # a deeper golden-ratio listing: blocks of adjacent prefixes that share
+    # a residual with one viable digit
     ["oracle", "seq:(10)", "--depth", "40"],
+    # pairs of adjacent prefixes that share a residual with two viable
+    # digits (levels 8 and 11): each prefix's children before the next's
+    ["oracle", "seq:(121)", "--depth", "12"],
     # deep counts: few residuals over long runs of prefixes, and an
     # integer base whose level counts keep growing
     ["oracle", "seq:(110)", "--depth", "600", "--counts"],
