@@ -277,3 +277,20 @@ def test_max_work_must_be_a_positive_integer():
     assert json.loads(small.output)["exhaustive"] is False
     big = CliRunner().invoke(main, args, env={"UVQ_MAX_WORK": "10000000"})
     assert json.loads(big.output) == full
+
+
+def test_max_work_cuts_a_listing_inside_a_run_of_equal_residuals():
+    # at the golden ratio, a cap of 6 falls inside a run of 3 prefixes with
+    # one residual at level 6 and inside a run of 2 at level 7; the cut
+    # keeps the first 6 prefixes of each level in lexicographic order
+    r = CliRunner().invoke(main, ["oracle", "seq:(10)", "--depth", "7"],
+                           env={"UVQ_MAX_WORK": "6"})
+    assert r.exit_code == 1
+    assert r.stdout == (
+        "base: seq:(10)\ndepth: 7\ncounts: [2, 3, 4, 5, 6, 6, 6]\n"
+        "exhaustive: False\nunique_prefix: False\n"
+        "levels: [[0, 1], [01, 10, 11], [011, 100, 101, 110], "
+        "[0111, 1001, 1010, 1011, 1100], "
+        "[01111, 10011, 10100, 10101, 10110, 11000], "
+        "[011111, 100111, 101001, 101010, 101011, 101100], "
+        "[0111111, 1001111, 1010011, 1010100, 1010101, 1010110]]\n")

@@ -42,15 +42,18 @@ def test_corpus_holds_every_recorded_command():
         [argv + ["--json"] for argv in record.COMMANDS]
 
 
-def _fresh(*argv):
-    """(stdout, seconds) of one `python -m univoque.cli` process."""
+def _fresh(*argv, code=0):
+    """(stdout, seconds) of one `python -m univoque.cli` process, which must
+    end with the given exit code."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     t0 = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "univoque.cli", *argv],
-                          capture_output=True, check=True, env=env)
-    return proc.stdout, time.monotonic() - t0
+                          capture_output=True, env=env)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == code, proc.stderr
+    return proc.stdout, elapsed
 
 
 # sha256 of the stdout of `approximate 110 --from 2 --to 80 --json`, as the
@@ -96,3 +99,19 @@ def test_check_of_a_60000_digit_sequence_is_unchanged_and_fast():
                           "--which", "univoque", "--json")
     assert hashlib.sha256(out).hexdigest() == CHECK_GAMMA_110_20000
     assert elapsed < 2.0
+
+
+# sha256 of the stdout of `oracle seq:(110) --depth 2000 --counts --json`,
+# as the loop over every prefix of a level printed it
+ORACLE_110_2000 = \
+    "d508c5669f30a29a2e084a2da2ad4ea1f5386208d9ebd6b84f0c92cbd43f8e98"
+
+
+def test_deep_oracle_counts_are_unchanged_and_fast():
+    """2,000 levels at the tribonacci base, 668,333 prefixes in all that
+    share a few residuals: not unique (exit 1), byte-identical, and under
+    1.5 s in a fresh process."""
+    out, elapsed = _fresh("oracle", "seq:(110)", "--depth", "2000",
+                          "--counts", "--json", code=1)
+    assert hashlib.sha256(out).hexdigest() == ORACLE_110_2000
+    assert elapsed < 1.5

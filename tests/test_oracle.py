@@ -174,19 +174,36 @@ def _bases(draw):
     return s
 
 
-@settings(max_examples=150, deadline=None)
-@given(base=_bases(), depth=st.integers(1, 25),
-       level_cap=st.sampled_from([2, 5, LEVEL_CAP]),
+# Pisot bases, where few residuals recur over long runs of adjacent
+# prefixes, with the depth that keeps their levels small: the golden ratio
+# twice, the tribonacci and tetranacci numbers, 1 + sqrt(2), the root of
+# q^3 - 2q^2 - q - 1, and that of q^3 - q^2 - 2q - 2, where adjacent
+# prefixes also share residuals with two viable digits
+PISOT = [(ep_sequence(pre, per), depth) for pre, per, depth in [
+    ((), (1, 0), 60), ((1, 1), (0,), 60), ((), (1, 1, 0), 60),
+    ((), (1, 1, 1, 0), 60), ((), (2, 0), 60), ((), (2, 1, 0), 60),
+    ((), (1, 2, 1), 24)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(
+           st.tuples(_bases(), st.integers(1, 25)),
+           st.sampled_from(PISOT).flatmap(
+               lambda sd: st.tuples(st.just(sd[0]), st.integers(1, sd[1])))),
+       level_cap=st.one_of(st.integers(1, 64), st.just(LEVEL_CAP)),
        counts_only=st.booleans())
-def test_enumerate_matches_the_per_prefix_reference(base, depth, level_cap,
+def test_enumerate_matches_the_per_prefix_reference(case, level_cap,
                                                     counts_only):
-    """The memo, cleared at `level_cap` residuals, and the sort-free level
-    order give the tree the per-prefix loop gives, truncated or not."""
+    """The runs of equal residuals, the memo cleared at `level_cap`
+    residuals, and the sort-free level order give the tree the per-prefix
+    loop gives, truncated or not; a small cap cuts levels inside runs."""
+    base, depth = case
     b = oracle._base(base, LEVEL_CAP)
     assume(b.cap + 1 <= level_cap)
     # about ((cap + 1) / q)^depth prefixes survive at the last level; keep
     # the uncapped runs small
-    assume(((b.cap + 1) / b.a.lo) ** depth <= 3000 or level_cap < LEVEL_CAP)
+    assume(level_cap < LEVEL_CAP or any(base == s for s, _ in PISOT)
+           or ((b.cap + 1) / b.a.lo) ** depth <= 3000)
     assert enumerate_expansions(base, depth, level_cap, counts_only) == \
         _enumerate_per_prefix(base, depth, level_cap, counts_only)
 
