@@ -81,10 +81,9 @@ def enumerate_expansions(base, depth: int, level_cap: int = LEVEL_CAP,
     Each level is a list of runs [x, m, prefixes]: a maximal block of m
     consecutive prefixes, in lexicographic order, whose residuals times q
     all equal x, with their digit tuples (None when only counts are kept).
-    A run's children are found once.  Taking each child's digit in turn,
-    smallest first, keeps the order when m = 1 or x has one viable digit;
-    otherwise the run splits parent-major, into m * k runs of one prefix
-    each.  A new run that meets a run with the same x merges with it.  A
+    A run's k children are found once.  Taking each child's digit in turn,
+    smallest first, keeps the order when m = 1 or k = 1; otherwise the run
+    splits parent-major, into m * k runs of one prefix each.  A new run that meets a run with the same x merges with it.  A
     level of more than `level_cap` prefixes keeps the first `level_cap`,
     cut by the running sum of m, inside a run if need be."""
     require_depth(depth)
