@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import lcm
 from typing import NamedTuple
 
 from . import polynomials as pl
@@ -192,13 +192,6 @@ def _qir(box: _Box):
                 vi, vi1, nq * nq)
 
 
-def _is_cell(box: _Box, lo: int, hi: int, den: int) -> bool:
-    """Whether box is a cell of the bisection grid of (lo/den, hi/den)."""
-    r, off = divmod(box.den, den)
-    return (off == 0 and r & (r - 1) == 0 and box.hi - box.lo == hi - lo
-            and (box.lo - lo * r) % (hi - lo) == 0)
-
-
 # The tightest interval found so far per root, least recently used first.
 _REFINED: OrderedDict = OrderedDict()
 _REFINED_MAX = 256
@@ -218,10 +211,11 @@ def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
     the cell of its grid that holds the root, at the first depth t whose
     cells are no wider than eps.  QIR steps (`_qir`), with one bisection
     for each step that fails, find a cell at depth t or below, starting
-    from the memo's cell for a when that is a cell of a's grid; the answer
-    is its ancestor at depth t.  Once a grid point proves to be the root,
-    bisection alone finishes the call, through the thin intervals it
-    keeps around a midpoint root.
+    from the memo's box for a when its width numerator is that of a's
+    interval, which among the boxes kept for a only the cells of a's grid
+    have; the answer is its ancestor at depth t.  Once a grid point proves
+    to be the root, bisection alone finishes the call, through the thin
+    intervals it keeps around a midpoint root.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -233,7 +227,9 @@ def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
     if t == 0:
         return a
     box = _REFINED.pop(a, None)
-    if box is None or not _is_cell(box, lo0, hi0, den0):
+    # a memo box is a cell of a's grid (width w) or a thin interval around
+    # a midpoint root (width 2^k w, k >= 1)
+    if box is None or box.hi - box.lo != w:
         box = _box(a)
     dyadic = False
     try:
@@ -331,18 +327,3 @@ def sign_at(c, a: AlgebraicReal) -> int:
             box = _bisect(box)
     finally:
         _remember(a, box)
-
-
-def floor_of(a: AlgebraicReal) -> tuple:
-    """Integer part of a value >= 1, plus a flag for exact integrality.
-
-    At width <= 1 the interval (lo, hi) holds the root r in (hi - 1, hi),
-    so with t = floor(hi) the integer part is t when r >= t and t - 1
-    otherwise; one sign test of r - t decides which, and whether r = t."""
-    t = floor(refine(a, 1).hi)
-    s = sign_at(pl.poly([-t, 1]), a)
-    if s < 0:
-        t -= 1
-    if t < 1:
-        raise DomainError("floor_of requires a value >= 1")
-    return t, s == 0

@@ -19,8 +19,8 @@ from .algebraic import AlgebraicReal, refine
 from .characterization import (NotInClosureError, UnivoqueCertificate,
                                classify, find_m)
 from .expansions import solve_base
-from .words import (EPSequence, complement_word, ep_sequence, format_sequence,
-                    format_word, word)
+from .words import (EPSequence, complement_word, ep_sequence, format_word,
+                    word)
 
 
 class NTooSmallError(ValueError):
@@ -49,7 +49,7 @@ class ApproximationRecord:
             "k": self.k,
             "m": self.m,
             "N": self.N,
-            "gamma": format_sequence(self.gamma),
+            "gamma": str(self.gamma),
             "polynomial": list(self.base.poly),
             "base_interval": [str(self.base.lo), str(self.base.hi)],
             "target_interval": [str(self.target_base.lo),
@@ -73,7 +73,7 @@ def _target(alpha) -> tuple:
     s = ep_sequence((), alpha)
     if not classify(s).in_closure:
         raise NotInClosureError(
-            "target %s is not closure-admissible" % format_sequence(s))
+            "target %s is not closure-admissible" % s)
     k = len(s.period)
     return s, k, find_m(s, k)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .words import (EPSequence, LT, EQ, GT, complement, complement_word,
-                    shift, format_sequence)
+                    shift)
 
 # stable numeric codes for the shift conditions, reported in witnesses
 SHIFT_STRICT = 21          # shifted tail <  sequence   (greedy / univoque)
@@ -89,14 +89,14 @@ def _witnesses(s: EPSequence, failures: list) -> tuple:
     """Witnesses for the (condition, j, order) failures, in order.  Each
     shifted (or complemented) sequence is built and formatted once."""
     b = s.digit(1)
-    right = format_sequence(s)
+    right = str(s)
     lefts = {}
     out = []
     for cond, j, c in failures:
         key = (j, cond in (COMPL_STRICT_GREEDY, COMPL_STRICT_QUASI))
         if key not in lefts:
             t = shift(s, j)
-            lefts[key] = format_sequence(complement(t, b) if key[1] else t)
+            lefts[key] = str(complement(t, b) if key[1] else t)
         out.append(ConditionWitness(cond, j, lefts[key], right, _rel(c)))
     return tuple(out)
 
@@ -189,7 +189,7 @@ def classify(s: EPSequence) -> UnivoqueCertificate:
     one `_scan`; a digit above the first fails them all at once."""
     b = s.digit(1)
     if s.max_digit > b:
-        w = ConditionWitness(COMPL_STRICT_GREEDY, 0, format_sequence(s),
+        w = ConditionWitness(COMPL_STRICT_GREEDY, 0, str(s),
                              str(b), "digit exceeds first digit")
         return UnivoqueCertificate("inadmissible", (w,), 0)
     failures = _scan(s, complements=True)

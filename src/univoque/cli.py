@@ -19,8 +19,8 @@ import click
 from . import approximator, characterization, expansions, oracle
 from .algebraic import algebraic_real
 from .characterization import NotInClosureError
-from .words import EPSequence, ParseError, format_sequence, format_word, \
-    parse_sequence, parse_word
+from .words import EPSequence, ParseError, format_word, parse_sequence, \
+    parse_word
 
 
 def _max_work(default: int) -> int:
@@ -156,7 +156,7 @@ def check(seq, which, as_json):
     if not isinstance(s, EPSequence):
         raise ParseError("an infinite sequence is required; add an "
                          "explicit period, e.g. '111(0)'")
-    payload = {"command": "check", "sequence": format_sequence(s),
+    payload = {"command": "check", "sequence": str(s),
                "which": which}
     if which in ("univoque", "closure"):
         cert = characterization.classify(s)
@@ -240,7 +240,7 @@ def solve(seq, as_json):
     if not isinstance(s, EPSequence):
         raise ParseError("an infinite sequence is required")
     a = expansions.solve_base(s)
-    _emit({"command": "solve", "sequence": format_sequence(s),
+    _emit({"command": "solve", "sequence": str(s),
            "polynomial": list(a.poly),
            "interval": [_fmt_frac(a.lo), _fmt_frac(a.hi)],
            "decimal": [float(a.lo), float(a.hi)]}, as_json)

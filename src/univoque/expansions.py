@@ -11,12 +11,13 @@ its residuals are integers over b^n.  No step goes through Fraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import polynomials as pl
-from .algebraic import AlgebraicReal, DomainError, floor_of, refine, sign_at
+from .algebraic import AlgebraicReal, DomainError, refine, sign_at
 from .characterization import check_greedy_admissible
 from .words import EPSequence, ep_sequence, word
 
@@ -88,7 +89,7 @@ def solve_base(s: EPSequence) -> AlgebraicReal:
     that it is simple, so no Sturm count and no square-free part are
     needed.  A P that is not positive at hi raises RuntimeError.
     """
-    if s.digit_sum < 2:
+    if s.is_finite() and sum(s.preperiod) < 2:
         raise NoBaseError("digit sum < 2: no base q > 1 exists")
     p = poly_from_sequence(s)
     hi = s.max_digit + 1
@@ -109,12 +110,12 @@ def solve_base(s: EPSequence) -> AlgebraicReal:
 #
 # The residual after n digits is r_n = q^n (1 - sum_{i<=n} c_i q^-i), so
 # r_0 = 1 and r_n = q r_{n-1} - c_n.  One class, AlgebraicBase, implements
-# the operations on it at every base: cap (floor of q), root() (r_0),
-# times_q(r), minus(x, c) (x - c for an integer or a residual c), sign(x),
-# and floor(x) -> (t, x == t).  A rational a/b runs as the root of b x - a,
-# where every residual has degree 0 and sign_at reads its sign off the
-# constant.  The greedy and quasi-greedy rules below and the oracle's
-# tail-bound rule are written once over these operations.
+# the operations on it at every base: cap (floor of q, by the bisection of
+# floor), root() (r_0), times_q(r), minus(x, c) (x - c for an integer or a
+# residual c), sign(x), and floor(x) -> (t, x == t).  A rational a/b runs
+# as the root of b x - a, where every residual has degree 0 and sign_at
+# reads its sign off the constant.  The greedy and quasi-greedy rules below
+# and the oracle's tail-bound rule are written once over these operations.
 
 
 class AlgebraicBase:
@@ -136,7 +137,10 @@ class AlgebraicBase:
 
     @cached_property
     def cap(self) -> int:
-        return floor_of(self.a)[0]
+        """floor(q), bisected over the integers in [floor(a.lo), ceil(a.hi)),
+        which hold it as a.lo < q < a.hi."""
+        return self._floor(self.times_q(self.root()), math.floor(self.a.lo),
+                           math.ceil(self.a.hi))[0]
 
     def root(self):
         return (1,) + (0,) * (len(self.low) - 1), 1
@@ -149,14 +153,13 @@ class AlgebraicBase:
                 den * lead)
 
     def minus(self, x, c):
+        """x - c for an integer c, or for a residual c whose denominator
+        divides that of x (as r's divides that of q r)."""
         n, den = x
         if isinstance(c, int):
             return (n[0] - c * den,) + n[1:], den
         m, e = c
-        # both denominators are powers of the leading coefficient
-        if den < e:
-            n, den = tuple(v * (e // den) for v in n), e
-        elif e < den:
+        if e < den:
             m = tuple(v * (den // e) for v in m)
         return tuple(u - v for u, v in zip(n, m)), den
 
@@ -164,11 +167,16 @@ class AlgebraicBase:
         return sign_at(x[0], self.a)
 
     def floor(self, x) -> tuple:
-        """(t, x == t) with t = floor(x), for 0 <= x < cap + 1.
+        """(t, x == t) with t = floor(x), for 0 <= x < cap + 2.
 
-        Bisects over the candidates 0..cap + 1 with O(log cap) sign tests;
-        a value that reaches cap + 1 breaks the invariant and raises."""
-        lo, hi, exact = 0, self.cap + 2, None
+        A digit's x is below cap + 1; the one candidate above that, cap + 1,
+        lets the digit loop see a value that breaks the invariant."""
+        return self._floor(x, 0, self.cap + 2)
+
+    def _floor(self, x, lo: int, hi: int) -> tuple:
+        """(t, x == t) with t = floor(x), for lo <= x < hi, bisected over
+        the candidates lo..hi - 1 with O(log(hi - lo)) sign tests."""
+        exact = None
         while hi - lo > 1:
             mid = (lo + hi) // 2
             s = self.sign(self.minus(x, mid))
@@ -176,11 +184,8 @@ class AlgebraicBase:
                 hi = mid
             else:
                 lo, exact = mid, s == 0
-        if lo > self.cap:
-            raise RuntimeError("digit exceeds the cap %d: the sign test "
-                               "invariant is violated" % self.cap)
         if exact is None:
-            exact = self.sign(x) == 0
+            exact = self.sign(self.minus(x, lo)) == 0
         return lo, exact
 
 
@@ -212,12 +217,15 @@ def _expand(q, n: int, strict: bool) -> ExpansionPrefix:
         raise DomainError("quasi-greedy expansion requires q > 1")
     if not strict and q_minus_1_sign(b) < 0:
         raise DomainError("greedy expansion requires q >= 1")
-    times_q, floor, minus = b.times_q, b.floor, b.minus
+    times_q, floor, minus, cap = b.times_q, b.floor, b.minus, b.cap
     r = b.root()
     digits = []
     while len(digits) < n:
         x = times_q(r)
         t, exact = floor(x)
+        if t > cap:
+            raise RuntimeError("digit exceeds the cap %d: the sign test "
+                               "invariant is violated" % cap)
         d = t - (strict and exact)
         digits.append(d)
         if exact and not strict:
@@ -295,11 +303,11 @@ def _kl_bound(L: int, n: int, d: int, p: int, up: bool) -> tuple:
     return s, xa
 
 
-def _kl_enclosure(tau: list, n: int, d: int, prec: int) -> tuple:
+def _kl_enclosure(L: int, n: int, d: int, prec: int) -> tuple:
     """(s_lo, s_hi, t_lo, t_hi) with s_lo <= 2^prec S <= s_hi and
     t_lo <= 2^prec T <= t_hi, where S = sum_{i<=L} tau_i q^-i and
-    T = q^-L / (q - 1) at q = n/d > 1, for tau the Thue-Morse prefix of
-    length L: tau_i = t(i) = popcount(i) mod 2.
+    T = q^-L / (q - 1) at q = n/d > 1, for tau the Thue-Morse sequence:
+    tau_i = t(i) = popcount(i) mod 2.
 
     With x = 1/q, E_j = sum_{i<2^j} t(i) x^i, O_j = sum_{i<2^j} (1 - t(i))
     x^i and P_j = x^(2^j) start at E_0 = 0, O_0 = 1 and double by
@@ -317,7 +325,6 @@ def _kl_enclosure(tau: list, n: int, d: int, prec: int) -> tuple:
     dS/dx < r^2.  As 2^g >= 16 L, 2(r + 2)r units of 2^-prec bound the
     width at every L and every prec.
     """
-    L = len(tau)
     g = L.bit_length() + 4
     s_lo, x_lo = _kl_bound(L, n, d, prec + g, False)
     s_hi, x_hi = _kl_bound(L, n, d, prec + g, True)
@@ -326,8 +333,9 @@ def _kl_enclosure(tau: list, n: int, d: int, prec: int) -> tuple:
             x_lo * n // den, -(-x_hi * n // den))
 
 
-def _kl_side(q: Fraction, tau: list) -> int:
-    """+1 when the Thue-Morse value at q exceeds 1, -1 when it falls short.
+def _kl_side(q: Fraction, L: int) -> tuple:
+    """(side, L'): side is +1 when the Thue-Morse value at q exceeds 1, -1
+    when it falls short, and L' >= L is the prefix length that decided it.
 
     The rule, on the prefix of L terms with S = sum_{i<=L} tau_i q^-i and
     the tail bound T = q^-L / (q - 1) >= sum_{i>L} tau_i q^-i: +1 when
@@ -343,30 +351,30 @@ def _kl_side(q: Fraction, tau: list) -> int:
       (n - d) n^L.
 
     Both paths decide the same rule, so the result and the final prefix
-    length do not depend on the filter.  tau is extended in place.
+    length do not depend on the filter.  Only the fallback needs the digits
+    of the prefix.
     """
     n, d = q.numerator, q.denominator
     while True:
-        L = len(tau)
         prec = d.bit_length() + L.bit_length() + _KL_GUARD
         one = 1 << prec
-        s_lo, s_hi, t_lo, t_hi = _kl_enclosure(tau, n, d, prec)
+        s_lo, s_hi, t_lo, t_hi = _kl_enclosure(L, n, d, prec)
         if s_lo > one:
-            return 1
+            return 1, L
         # n^L S, computed only for a comparison the filter leaves open
         exact = None
         if s_hi > one:
-            exact = d * pl.scaled_value(tuple(reversed(tau)), n, d)
+            exact = d * pl.scaled_value(thue_morse_prefix(L)[::-1], n, d)
             if exact > n ** L:
-                return 1
+                return 1, L
         if s_hi + t_hi < one:
-            return -1
+            return -1, L
         if s_lo + t_lo < one:
             if exact is None:
-                exact = d * pl.scaled_value(tuple(reversed(tau)), n, d)
+                exact = d * pl.scaled_value(thue_morse_prefix(L)[::-1], n, d)
             if (n - d) * exact + d ** (L + 1) < (n - d) * n ** L:
-                return -1
-        tau.extend(thue_morse_prefix(2 * L)[L:])
+                return -1, L
+        L *= 2
 
 
 # kl_constant refuses an eps that needs more bisection steps than this
@@ -384,6 +392,8 @@ def kl_constant(eps) -> tuple:
     Thue-Morse block doubling (E_{j+1} = E_j + P_j O_j, O_{j+1} = O_j +
     P_j E_j) first, and one exact integer comparison only for an outcome
     it leaves open, so lo, hi and the prefix length are the exact rule's.
+    The prefix is carried as its length, from 32: each step starts at the
+    length the one before ended at.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -399,11 +409,12 @@ def kl_constant(eps) -> tuple:
     # the bracket [3/2, 2] as integer numerators over 2^(steps + 1)
     unit = 1 << (steps + 1)
     lo, hi = 3 << steps, 2 * unit
-    tau = list(thue_morse_prefix(32))
+    L = 32
     for _ in range(steps):
         mid = (lo + hi) >> 1
-        if _kl_side(Fraction(mid, unit), tau) > 0:
+        side, L = _kl_side(Fraction(mid, unit), L)
+        if side > 0:
             lo = mid
         else:
             hi = mid
-    return Fraction(lo, unit), Fraction(hi, unit), len(tau)
+    return Fraction(lo, unit), Fraction(hi, unit), L

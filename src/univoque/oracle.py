@@ -145,11 +145,10 @@ def unique_prefix(tree: PrefixTree) -> bool:
     return tree.exhaustive and all(c == 1 for c in tree.counts)
 
 
-def certify_unique_prefix(base, depth: int, level_cap: int = LEVEL_CAP) -> bool:
+def certify_unique_prefix(base, depth: int) -> bool:
     """`unique_prefix` of the viable prefixes of depth >= 1."""
     require_depth(depth, 1)
-    return unique_prefix(enumerate_expansions(base, depth, level_cap,
-                                              counts_only=True))
+    return unique_prefix(enumerate_expansions(base, depth, counts_only=True))
 
 
 def greedy_via_oracle(base, depth: int) -> tuple:

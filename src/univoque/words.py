@@ -57,14 +57,6 @@ class EPSequence:
     def max_digit(self) -> int:
         return max(self.preperiod + self.period)
 
-    @property
-    def digit_sum(self) -> int:
-        """Sum over the whole (infinite) sequence when finite, else a lower
-        bound >= 2 signalling infinitely many nonzero digits."""
-        if any(self.period):
-            return max(2, sum(self.preperiod) + sum(self.period))
-        return sum(self.preperiod)
-
     def is_finite(self) -> bool:
         """True iff only finitely many digits are nonzero."""
         return not any(self.period)
@@ -161,8 +153,3 @@ def format_word(w: tuple) -> str:
     if all(d <= 9 for d in w):
         return "".join(str(d) for d in w)
     return "[" + ",".join(str(d) for d in w) + "]"
-
-
-def format_sequence(s: EPSequence) -> str:
-    """The SEQ form of s; `format_word` formats a word."""
-    return str(s)

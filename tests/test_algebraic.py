@@ -9,9 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from univoque import algebraic
 from univoque.algebraic import (AlgebraicReal, DomainError, EndpointRootError,
-                                algebraic_real, floor_of, refine, sign_at,
-                                sturm_count)
-from univoque.expansions import solve_base
+                                algebraic_real, refine, sign_at, sturm_count)
+from univoque.expansions import base_arithmetic, solve_base
 from univoque import polynomials as pl
 from univoque.words import ep_sequence
 
@@ -156,16 +155,19 @@ def test_sign_at_stable_under_refine():
         assert sign_at(c, refine(a, eps)) == s
 
 
-def test_floor_of_examples():
-    assert floor_of(algebraic_real(GOLDEN, 1, 2)) == (1, False)
-    assert floor_of(algebraic_real((-2, 1), F(3, 2), F(5, 2))) == (2, True)
-    assert floor_of(algebraic_real(TRIB, 1, 2)) == (1, False)
+def _floor_of_q(a):
+    """(floor(q), q == floor(q)) at the root a, from the digit floor of its
+    residual arithmetic, which must agree with its cap."""
+    b = base_arithmetic(a)
+    t, exact = b.floor(b.times_q(b.root()))
+    assert t == b.cap
+    return t, exact
 
 
-def test_floor_of_domain_error_below_one():
-    half = algebraic_real((-1, 2), F(1, 4), F(3, 4))
-    with pytest.raises(DomainError):
-        floor_of(half)
+def test_cap_examples():
+    assert _floor_of_q(algebraic_real(GOLDEN, 1, 2)) == (1, False)
+    assert _floor_of_q(algebraic_real((-2, 1), F(3, 2), F(5, 2))) == (2, True)
+    assert _floor_of_q(algebraic_real(TRIB, 1, 2)) == (1, False)
 
 
 def _isolate_roots(p, lo, hi, parts=64):
@@ -306,7 +308,7 @@ def test_solve_base_interval_passes_the_sturm_cross_check(pre, per):
     interval must agree, and bisecting P itself must give the intervals
     that bisecting its square-free part gives."""
     s = ep_sequence(tuple(pre), tuple(per))
-    assume(s.digit_sum >= 2)
+    assume(not s.is_finite() or sum(s.preperiod) >= 2)
     a = solve_base(s)
     assert sturm_count(a.poly, a.lo, a.hi) == 1
     sf = AlgebraicReal(pl.squarefree_part(a.poly), a.lo, a.hi)
@@ -325,7 +327,7 @@ def _pell_near_misses(k):
 @pytest.mark.parametrize("power", [1, 3, 5])
 def test_odd_multiplicity_base_bisects_its_own_polynomial(power, monkeypatch):
     """(q^2 - 2)^power changes sign at sqrt 2 for odd powers, so refine,
-    sign_at and floor_of bisect it directly and match q^2 - 2."""
+    sign_at and the cap bisect it directly and match q^2 - 2."""
     p = (1,)
     for _ in range(power):
         p = _mul(p, (-2, 0, 1))
@@ -336,7 +338,7 @@ def test_odd_multiplicity_base_bisects_its_own_polynomial(power, monkeypatch):
                         lambda f: sf_args.append(f) or real_sf(f))
     for eps in (F(1, 3), F(1, 1000), F(1, 2 ** 200)):
         assert _ends(refine(a, eps)) == _ends(refine(b, eps))
-    assert floor_of(a) == floor_of(b) == (1, False)
+    assert _floor_of_q(a) == _floor_of_q(b) == (1, False)
     assert sf_args == []
     algebraic._REFINED.clear()
     n, d, side = _pell_near_misses(90)
@@ -396,7 +398,7 @@ def test_refine_matches_plain_bisection_on_sequence_bases(pre, per, bits,
     """QIR's grid-ancestor answer is the bisection interval, call after
     call on one root, whatever cells earlier calls left in the memo."""
     s = ep_sequence(tuple(pre), tuple(per))
-    assume(s.digit_sum >= 2)
+    assume(not s.is_finite() or sum(s.preperiod) >= 2)
     a = solve_base(s)
     for b in bits:
         eps = F(1, 2 ** b * den)

@@ -17,7 +17,7 @@ from univoque.characterization import (ConditionWitness, SearchCapExceeded,
                                        verify_lemma_26)
 from univoque.expansions import greedy_expansion, solve_base
 from univoque.words import (EQ, GT, LT, complement, ep_sequence,
-                            format_sequence, lex_compare, shift)
+                            lex_compare, shift)
 
 S10 = ep_sequence((), (1, 0))
 S110 = ep_sequence((), (1, 1, 0))
@@ -187,7 +187,7 @@ def _classify_ref(s):
     n_shifts = len(s.preperiod) + len(s.period)
     if s.max_digit > b:
         return UnivoqueCertificate("inadmissible", (ConditionWitness(
-            22, 0, format_sequence(s), str(b), "digit exceeds first digit"),),
+            22, 0, str(s), str(b), "digit exceeds first digit"),),
             0)
     witnesses = []
     ok = {21: True, 22: True, 23: True, 24: True}
@@ -195,8 +195,8 @@ def _classify_ref(s):
     def fail(cond, j, left, c):
         if ok[cond]:
             ok[cond] = False
-            witnesses.append(ConditionWitness(cond, j, format_sequence(left),
-                                              format_sequence(s), _REL[c]))
+            witnesses.append(ConditionWitness(cond, j, str(left), str(s),
+                                              _REL[c]))
 
     for j in range(1, n_shifts + 1):
         t = shift(s, j)
@@ -224,8 +224,7 @@ def _greedy_ref(s):
         t = shift(s, j)
         c = lex_compare(t, s)
         if c != LT:
-            return False, ConditionWitness(21, j, format_sequence(t),
-                                           format_sequence(s), _REL[c])
+            return False, ConditionWitness(21, j, str(t), str(s), _REL[c])
     return True, None
 
 

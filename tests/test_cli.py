@@ -5,6 +5,7 @@ import time
 
 from click.testing import CliRunner
 
+from univoque import algebraic
 from univoque.cli import main, parse_base
 from univoque.words import EPSequence
 
@@ -261,6 +262,18 @@ def test_rational_bases_run_as_degree_one_roots():
         assert r.exit_code == 2
         assert r.output.strip().splitlines() == \
             ["error: greedy expansion requires q >= 1"]
+
+
+def test_rational_bases_never_refine_an_interval():
+    # the cap is found by the digit bisection, whose sign tests at a
+    # rational base read a constant
+    algebraic._REFINED.clear()
+    assert run("expand", "3/2", "--depth", "30").exit_code == 0
+    assert run("expand", "151/100", "--mode", "quasi",
+               "--depth", "30").exit_code == 0
+    assert run("oracle", "151/100", "--depth", "12",
+               "--counts").exit_code == 1
+    assert not algebraic._REFINED
 
 
 def test_max_work_must_be_a_positive_integer():

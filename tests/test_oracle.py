@@ -170,7 +170,7 @@ def _bases(draw):
     s = ep_sequence(tuple(draw(st.lists(st.integers(0, 2), max_size=4))),
                     tuple(draw(st.lists(st.integers(0, 2), min_size=1,
                                         max_size=4))))
-    assume(s.digit_sum >= 2)
+    assume(not s.is_finite() or sum(s.preperiod) >= 2)
     return s
 
 

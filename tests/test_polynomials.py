@@ -1,5 +1,5 @@
 """The exact polynomial core, differentially against sympy: pseudo-division,
-square-free parts, Sturm counts, sign_at and floor_of."""
+square-free parts, Sturm counts, sign_at and the floor of the base."""
 
 from fractions import Fraction as F
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from univoque import algebraic, polynomials as pl
-from univoque.algebraic import (AlgebraicReal, DomainError, floor_of, sign_at,
-                                sturm_count)
+from univoque.algebraic import AlgebraicReal, sign_at, sturm_count
+from univoque.expansions import base_arithmetic
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -67,7 +67,7 @@ def _mul(a: tuple, b: tuple) -> tuple:
     return pl.poly(out)
 
 
-# --- Sturm counts, sign_at and floor_of against sympy ------------------------
+# --- Sturm counts, sign_at and the floor of the base against sympy -----------
 
 small = st.builds(lambda low, lead: tuple(low) + (lead,),
                   st.lists(coeffs, min_size=1, max_size=3),
@@ -203,7 +203,7 @@ def test_sturm_count_matches_sympy_count_roots(p, lo, width):
 
 @settings(max_examples=40, deadline=None)
 @given(squarefull(), small, st.integers(1, 2))
-def test_sign_at_and_floor_of_match_sympy(p, h, e):
+def test_sign_at_and_the_cap_match_sympy(p, h, e):
     """At each real root of a square-full p: c = h g^e for every
     irreducible factor g of p, and c = h.  A factor g with the root and
     e = 2 puts the root into gcd(p, c) with even multiplicity, which must
@@ -225,8 +225,8 @@ def test_sign_at_and_floor_of_match_sympy(p, h, e):
             want = _sign_by_sympy(c, lo, hi, f)
             assert _sign_after_zero_test(c, a) == want
         t, exact = _floor_by_sympy(lo, hi, f)
-        if t < 1:
-            with pytest.raises(DomainError):
-                floor_of(a)
-        else:
-            assert floor_of(a) == (t, exact)
+        b = base_arithmetic(a)
+        q = b.times_q(b.root())
+        assert (b.cap, b.sign(b.minus(q, b.cap)) == 0) == (t, exact)
+        if t >= 0:
+            assert b.floor(q) == (t, exact)
