@@ -62,6 +62,9 @@ COMMANDS = README + [
     ["kl", "--eps", "1e-100"],
     # a non-dyadic eps
     ["kl", "--eps", "7/1000"],
+    # deep enclosures: prefixes of 2,048 and 4,096 terms
+    ["kl", "--eps", "1e-300"],
+    ["kl", "--eps", "1e-1000"],
 ] + [
     # gamma_80 for the target (110100): preperiod 480, period 16
     ["check", GAMMA_110100_80, "--which", which]
