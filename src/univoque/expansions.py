@@ -277,7 +277,7 @@ def thue_morse_prefix(n: int) -> tuple:
 
 
 # extra bits of the fixed-point filter beyond bits(d), which resolves a
-# bisection midpoint, and bits(L): the enclosure is a few units wide, so
+# dyadic cell end, and bits(L): the enclosure is a few units wide, so
 # only a near-tie reaches the exact fallback
 _KL_GUARD = 24
 
@@ -377,23 +377,74 @@ def _kl_side(q: Fraction, L: int) -> tuple:
         L *= 2
 
 
-# kl_constant refuses an eps that needs more bisection steps than this
+def _kl_guess(bits: int) -> int:
+    """An uncertified guess at floor(2^bits q_KL), which `kl_constant`
+    checks by the exact rule before it keeps it.
+
+    Secant steps in fixed point on f(Q) = 2^p (S_L(Q/2^p) - 1), from the
+    lower bound `_kl_bound(L, Q, 2^p, p, False)`: with L = 5p/4 + 16 the
+    tail beyond the prefix is below 2^-p, and the roundings leave f a few
+    L units off, its noise.  The precision doubles each round up to
+    p = bits + 16; a round starts from the point the one before ended at
+    and a second point the earlier round's noise below it, and stops once
+    a step is within its own noise.
+    """
+    precs = [bits + 16]
+    while precs[-1] > 64:
+        precs.append((precs[-1] + 1) // 2)
+    p0, q1, noise = 0, 179, 0         # 1.79, as Q / 100
+    for p in reversed(precs):
+        if p0:
+            q1 <<= p - p0
+            q0 = q1 - (noise << (p - p0))
+        else:
+            q0, q1 = (178 << p) // 100, (q1 << p) // 100
+        one, L = 1 << p, p * 5 // 4 + 16
+        noise = 1 << (L.bit_length() + 2)
+        f0 = _kl_bound(L, q0, one, p, False)[0] - one
+        for _ in range(12):
+            f1 = _kl_bound(L, q1, one, p, False)[0] - one
+            if f1 == f0:
+                break
+            step = f1 * (q1 - q0) // (f1 - f0)
+            q0, f0, q1 = q1, f1, q1 - step
+            if abs(step) <= noise:
+                break
+        p0 = p
+    return q1 >> (p0 - bits)
+
+
+# kl_constant refuses an eps whose dyadic cell lies deeper than this many
+# halvings of [3/2, 2]: a cell of width 2^-(steps+1)
 _KL_MAX_STEPS = 10_000
 
 
 def kl_constant(eps) -> tuple:
     """Rational enclosure of the smallest univoque base (~1.787).
 
-    Bisection of q -> sum tau_i q^{-i} with rigorous tail bounds.  Returns
-    (lo, hi, prefix_length_used) with hi - lo <= eps.  The bracket starts
-    at width 1/2 and halves each step, so eps fixes the step count; when it
-    exceeds _KL_MAX_STEPS, DomainError is raised before any work.  Each step
-    decides its dyadic midpoint by `_kl_side`: a fixed-point enclosure by
-    Thue-Morse block doubling (E_{j+1} = E_j + P_j O_j, O_{j+1} = O_j +
-    P_j E_j) first, and one exact integer comparison only for an outcome
-    it leaves open, so lo, hi and the prefix length are the exact rule's.
-    The prefix is carried as its length, from 32: each step starts at the
-    length the one before ended at.
+    Returns (lo, hi, prefix_length_used) with hi - lo <= eps: the dyadic
+    cell [lo, lo + 2^-(steps+1)] of q_KL that bisecting [3/2, 2] in steps
+    halvings would end on, for the fewest steps that meet eps.  Past
+    _KL_MAX_STEPS, DomainError is raised before any work.
+
+    `_kl_guess` proposes the cell, and the exact rule `_kl_side` certifies
+    it: side(lo) = +1 and side(hi) = -1, where 3/2 counts as +1 and 2 as
+    -1 without a test, as the bisection never visits them.  The rule is
+    exact and q_KL is irrational, so side is +1 below q_KL and -1 above,
+    and only the right cell passes.  A failed end moves the cell toward
+    q_KL, galloping and then bisecting, so a guess k cells off costs
+    O(log k) tests.  The prefix is carried as its length, from 32: each
+    test starts at the length the one before ended at.
+
+    The prefix length is the bisection's.  Let need(q) be the first L in
+    32 * 2^k at which the rule decides q.  Below q_KL it decides exactly
+    when S_L(q) > 1, and S_L falls as q rises and grows with L; above, it
+    decides exactly when S_L + T_L < 1, which falls as q rises and does not
+    grow with L.  So a test begun at L ends at max(L, need(q)), and need
+    does not decrease as q nears q_KL from either side.  The bisection
+    visits lo and hi (when not 3/2 or 2), and each other midpoint lies
+    below lo or above hi on its own side, so it ends at max(32, need(lo),
+    need(hi)); so do these tests, as every point tested lies the same way.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -406,14 +457,33 @@ def kl_constant(eps) -> tuple:
     if steps > _KL_MAX_STEPS:
         raise DomainError("eps needs %d bisection steps, above max_iter = %d"
                           % (steps, _KL_MAX_STEPS))
-    # the bracket [3/2, 2] as integer numerators over 2^(steps + 1)
+    # cell ends as integer numerators over 2^(steps + 1), in [3/2, 2]
     unit = 1 << (steps + 1)
-    lo, hi = 3 << steps, 2 * unit
+    first, last = 3 << steps, 2 * unit
     L = 32
-    for _ in range(steps):
+
+    def side(x):
+        nonlocal L
+        if x <= first:
+            return 1
+        if x >= last:
+            return -1
+        s, L = _kl_side(Fraction(x, unit), L)
+        return s
+
+    lo = min(max(_kl_guess(steps + 1), first), last - 1)
+    # gallop from the guess to a bracket side(lo) = +1, side(hi) = -1
+    gap = 1
+    if side(lo) > 0:
+        while side(hi := min(lo + gap, last)) > 0:
+            lo, gap = hi, 2 * gap
+    else:
+        hi = lo
+        while side(lo := max(hi - gap, first)) < 0:
+            hi, gap = lo, 2 * gap
+    while hi - lo > 1:
         mid = (lo + hi) >> 1
-        side, L = _kl_side(Fraction(mid, unit), L)
-        if side > 0:
+        if side(mid) > 0:
             lo = mid
         else:
             hi = mid

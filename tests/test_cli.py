@@ -1,7 +1,11 @@
 """Command-line surface: grammars, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 from click.testing import CliRunner
 
@@ -105,6 +109,22 @@ def test_kl_enclosure():
     lo, hi = payload["decimal"]
     assert lo < 1.7872316501 < hi and hi - lo <= 1e-3 + 1e-12
     assert round(lo, 2) == round(hi, 2) == 1.79
+
+
+def test_kl_at_eps_1e_3000_runs_in_a_fresh_process_within_3_s():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    t = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "univoque.cli", "kl",
+                           "--eps", "1e-3000", "--json"],
+                          capture_output=True, env=env, timeout=60)
+    assert time.monotonic() - t < 3
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["prefix_length"] == 16384
+    lo, hi = (Fraction(x) for x in payload["interval"])
+    assert 0 < hi - lo <= Fraction(1, 10 ** 3000)
 
 
 def test_negative_depth_is_a_usage_error():

@@ -1,6 +1,7 @@
 """Greedy / quasi-greedy algorithms, base solving, Thue-Morse enclosure."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 from math import lcm
@@ -244,6 +245,61 @@ def test_kl_constant_counts_its_bisection_steps_up_front(monkeypatch):
     assert hi - lo == F(1, 2 ** 11)
     with pytest.raises(DomainError, match="11 bisection steps.*max_iter = 10"):
         kl_constant(F(1, 2 ** 11) - F(1, 10 ** 9))
+
+
+def _kl_bisect_ref(eps):
+    """The bisection `kl_constant` replaced: halve [3/2, 2] once per step,
+    deciding each dyadic midpoint by `_kl_side` from the length the step
+    before ended at."""
+    eps = F(eps)
+    steps = 0
+    while F(1, 2 ** (steps + 1)) > eps:
+        steps += 1
+    unit = 1 << (steps + 1)
+    lo, hi = 3 << steps, 2 * unit
+    length = 32
+    for _ in range(steps):
+        mid = (lo + hi) >> 1
+        side, length = expansions._kl_side(F(mid, unit), length)
+        if side > 0:
+            lo = mid
+        else:
+            hi = mid
+    return F(lo, unit), F(hi, unit), length
+
+
+def test_kl_constant_is_the_bisections_cell():
+    """Ends 3/2 and 2 at 0-2 steps, every dyadic eps to 2^-300 and just
+    below it, and 200 random eps of up to 400 bits."""
+    rng = random.Random(17)
+    eps = [F(1), F(1, 2), F(1, 3), F(1, 4), F(1, 8)]
+    eps += [F(1, 2 ** k) * f for k in range(301)
+            for f in (1, 1 - F(1, 10 ** 9))]
+    eps += [F(rng.randrange(1, 2 ** 40), 2 ** rng.randrange(41, 441))
+            for _ in range(200)]
+    for e in eps:
+        assert kl_constant(e) == _kl_bisect_ref(e), e
+
+
+@pytest.mark.parametrize("eps", [F(1, 2 ** 60), F(1, 10 ** 30), F(1, 8)])
+def test_kl_constant_certifies_a_wrong_guess(monkeypatch, eps):
+    """A guess k cells off costs at most 2 log2(k) + 6 tests of `_kl_side`,
+    and the result is the bisection's, from either clamp end too."""
+    want = _kl_bisect_ref(eps)
+    unit = want[1].denominator
+    cell = want[0].numerator * (unit // want[0].denominator)
+    first, last = 3 * unit // 2, 2 * unit - 1
+    side, calls = expansions._kl_side, []
+    monkeypatch.setattr(expansions, "_kl_side",
+                        lambda q, n: calls.append(q) or side(q, n))
+    for guess in ([cell + k for k in (0, 1, -1, 37, -37, 10 ** 6, -10 ** 6)]
+                  + [first, last, 0, 8 * unit]):
+        monkeypatch.setattr(expansions, "_kl_guess", lambda bits: guess)
+        calls.clear()
+        assert kl_constant(eps) == want
+        offset = abs(min(max(guess, first), last) - cell)
+        assert len(calls) <= (2 if offset == 0 else
+                              2 * math.log2(offset) + 6), guess
 
 
 def _kl_side_ref(q, length):
