@@ -44,6 +44,9 @@ GAMMA_110100_80 = "110100" * 80 + "(1101001100101100)"
 # (0) fails 22 and 24 only at the last shift
 GAMMA_110_520 = "110" * 520 + "(11010010)"
 NEIGHBOURS_110_520 = ["110" * 520 + "(1)", "110" * 520 + "(0)"]
+# the first 24 and 48 digits of the Thue-Morse sequence t_1 t_2 ...
+TM_24 = "110100110010110100101100"
+TM_48 = TM_24 + "110100110010110011010010"
 
 COMMANDS = README + [
     ["expand", base, "--mode", mode, "--depth", "40"]
@@ -153,6 +156,14 @@ COMMANDS = README + [
     # integer base whose level counts keep growing
     ["oracle", "seq:(110)", "--depth", "600", "--counts"],
     ["oracle", "2", "--depth", "300", "--counts"],
+] + [
+    # Thue-Morse prefixes of 24 and 48 digits: m = 32 and 64, at the
+    # default N = 2
+    ["approximate", TM_24],
+    ["approximate", TM_48],
+    # a preperiod that ends in a copy of the period: (110) in canonical form
+    ["check", "110110(110)", "--which", "closure"],
+    ["solve", "11011(011)"],
 ]
 
 
