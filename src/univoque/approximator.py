@@ -63,19 +63,20 @@ class ApproximationRecord:
 def _target(alpha) -> tuple:
     """(s, k, m) for the target s = (alpha)^inf in canonical form, whose
     period, of length k, is the primitive root of alpha, and m the least
-    block length (find_m).  s must be closure-admissible.  No purely
-    periodic s is univoque, as sigma^k(s) = s fails the strict shift
-    condition 21, so s is then a closure point outside the univoque set,
-    as the construction needs."""
+    block length (find_m, whose scan checks that s is closure-admissible).
+    No purely periodic s is univoque, as sigma^k(s) = s fails the strict
+    shift condition 21, so s is then a closure point outside the univoque
+    set, as the construction needs."""
     alpha = word(alpha)
     if not alpha:
         raise NotInClosureError("empty target word")
     s = ep_sequence((), alpha)
-    if not classify(s).in_closure:
-        raise NotInClosureError(
-            "target %s is not closure-admissible" % s)
     k = len(s.period)
-    return s, k, find_m(s, k)
+    try:
+        return s, k, find_m(s, k)
+    except NotInClosureError:
+        raise NotInClosureError(
+            "target %s is not closure-admissible" % s) from None
 
 
 def _gamma(s: EPSequence, k: int, m: int, N: int) -> EPSequence:
@@ -93,13 +94,6 @@ def _gamma(s: EPSequence, k: int, m: int, N: int) -> EPSequence:
                 "internal error: gamma differs from the target at digit "
                 "%d of the first m + kN = %d" % (i, m + k * N))
     return gamma
-
-
-def minimal_n(alpha) -> int:
-    """The least block count N for the target (alpha)^inf: k N >= m.
-    Raises NotInClosureError as `approximate` does."""
-    _, k, m = _target(alpha)
-    return -(-m // k)
 
 
 # the reported gap is at least this many times the interval width
@@ -122,13 +116,16 @@ def _gap_bound(target: AlgebraicReal, base: AlgebraicReal) -> tuple:
         w = gap / (2 * _GAP_SHRINK) if gap > 0 else w / 16
 
 
-def approximate(alpha, n_from: int, n_to: int):
+def approximate(alpha, n_from: int | None = None, n_to: int | None = None):
     """Run the full pipeline for N = n_from..n_to, returning one certified
-    ApproximationRecord per N (ordered by N).  The target is checked once;
-    each gamma_N is then built from (s, m)."""
+    ApproximationRecord per N (ordered by N).  n_from defaults to the least
+    N with k N >= m, and n_to to n_from.  The target is checked once, before
+    the range; each gamma_N is then built from (s, m)."""
+    s, k, m = _target(alpha)
+    n_from = -(-m // k) if n_from is None else n_from
+    n_to = n_from if n_to is None else n_to
     if n_to < n_from:
         raise ValueError("empty N range")
-    s, k, m = _target(alpha)
     target = solve_base(s)
     records = []
     for n in range(n_from, n_to + 1):

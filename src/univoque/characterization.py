@@ -101,11 +101,12 @@ def _witnesses(s: EPSequence, failures: list) -> tuple:
     return tuple(out)
 
 
-def _scan(s: EPSequence, complements: bool) -> list:
-    """The first shift of s that fails 21 and the first that fails 23, and
-    with complements=True the first complement that fails 22 (and so 24),
-    as (condition, j, order) failures in order of j.  A complement scan
-    needs every digit at most the first.
+def _scan(s: EPSequence, complements: bool) -> tuple:
+    """(failures, y): the first shift of s that fails 21 and the first that
+    fails 23, and with complements=True the first complement that fails 22
+    (and so 24), as (condition, j, order) failures in order of j, and the
+    complement lcps y[j] up to the first failing j (y[0] = 0).  A
+    complement scan needs every digit at most the first.
 
     With p and r the preperiod and period lengths of the canonical form
     (so the period is primitive), the distinct shifts are sigma^j(s) for
@@ -141,6 +142,7 @@ def _scan(s: EPSequence, complements: bool) -> list:
     ok_compl = complements
     # the boxes: w[zl:ze] = w[:ze - zl] and cw[yl:ye] = w[:ye - yl]
     z = [n]
+    y = [0]
     zl = ze = yl = ye = 0
     for j in range(1, n + 1):
         # z[j]: inside the box it is z[j - zl] if that ends before ze;
@@ -174,6 +176,7 @@ def _scan(s: EPSequence, complements: bool) -> list:
                 while k < n and b - w[j + k] == w[k]:
                     k += 1
                 yl, ye = j, j + k
+            y.append(k)
             if k == n or b - w[j + k] > w[k]:
                 ok_compl = False
                 c = EQ if k == n else GT
@@ -181,7 +184,7 @@ def _scan(s: EPSequence, complements: bool) -> list:
                 failures.append((COMPL_STRICT_QUASI, j, c))
         if not (ok21 or ok23 or ok_compl):
             break
-    return failures
+    return failures, y
 
 
 def classify(s: EPSequence) -> UnivoqueCertificate:
@@ -192,7 +195,7 @@ def classify(s: EPSequence) -> UnivoqueCertificate:
         w = ConditionWitness(COMPL_STRICT_GREEDY, 0, str(s),
                              str(b), "digit exceeds first digit")
         return UnivoqueCertificate("inadmissible", (w,), 0)
-    failures = _scan(s, complements=True)
+    failures, _ = _scan(s, complements=True)
     failed = {cond for cond, _, _ in failures}
     if not failed & {SHIFT_STRICT, COMPL_STRICT_GREEDY}:
         verdict = "univoque"
@@ -210,7 +213,7 @@ def check_greedy_admissible(s: EPSequence):
     Returns (bool, witness-or-None); the witness records the smallest
     failing shift index."""
     # a shift that fails 23 fails 21, so the first failure is one of 21
-    failures = _scan(s, complements=False)
+    failures, _ = _scan(s, complements=False)
     if failures:
         return False, _witnesses(s, failures[:1])[0]
     return True, None
@@ -220,15 +223,25 @@ def check_quasi_greedy_admissible(s: EPSequence) -> bool:
     """Is s the quasi-greedy expansion of 1 for some q > 1?  Requires
     infinitely many nonzero digits plus the non-strict shift condition."""
     return not s.is_finite() and all(
-        cond != SHIFT_WEAK for cond, _, _ in _scan(s, complements=False))
+        cond != SHIFT_WEAK for cond, _, _ in _scan(s, complements=False)[0])
 
 
 def find_m(s: EPSequence, k: int, cap: int | None = None) -> int:
     """Smallest m in [k, cap] such that for every 0 <= j < m the
     complemented block of digits j+1..m is strictly below the leading block
-    of the same length."""
-    cert = classify(s)
-    if not cert.in_closure:
+    of the same length; s must be closure-admissible.
+
+    That holds iff j + y_j < m for every j < m, with y_j the longest common
+    prefix of the complement of sigma^j(s) with s: the two blocks agree on
+    their first min(y_j, m - j) digits, so they are equal when
+    j + y_j >= m, and otherwise ordered as that complement and s, which is
+    below s in the closure (by 24 for j >= 1, and at the first digit for
+    j = 0, as b > 0).  The `_scan` that checks the closure gives y_j for
+    j <= p + r, and y_(j + r) = y_j from j = p on, so one pass over j
+    finds m in O(m) steps."""
+    failures, y = _scan(s, complements=True)
+    if s.max_digit > s.digit(1) or any(cond in (SHIFT_WEAK, COMPL_STRICT_QUASI)
+                                       for cond, _, _ in failures):
         raise NotInClosureError("sequence is not closure-admissible")
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -236,12 +249,13 @@ def find_m(s: EPSequence, k: int, cap: int | None = None) -> int:
         cap = 50 * (len(s.preperiod) + len(s.period))
     if cap < k:
         raise ValueError("cap must be >= k")
-    b = s.digit(1)
-    # both blocks have m - j digits, so tuple order is lexicographic order
-    for m in range(k, cap + 1):
-        prefix = s.prefix(m)
-        if all(complement_word(prefix[j:], b) < prefix[:m - j]
-               for j in range(m)):
+    reach = 0   # the largest j + y_j over j < m
+    for m in range(1, cap + 1):
+        j = m - 1
+        if j == len(y):
+            y.append(y[j - len(s.period)])
+        reach = max(reach, j + y[j])
+        if m >= k and reach < m:
             return m
     raise SearchCapExceeded("no valid m found up to cap %d" % cap)
 

@@ -19,8 +19,7 @@ import click
 from . import approximator, characterization, expansions, oracle
 from .algebraic import algebraic_real
 from .characterization import NotInClosureError
-from .words import EPSequence, ParseError, format_word, parse_sequence, \
-    parse_word
+from .words import ParseError, format_word, parse_sequence, parse_word
 
 
 def _max_work(default: int) -> int:
@@ -64,11 +63,7 @@ def parse_base(text: str):
     with constant-first coefficients, or "seq:<sequence>"."""
     text = text.strip()
     if text.startswith("seq:"):
-        s = parse_sequence(text[4:])
-        if not isinstance(s, EPSequence):
-            raise ParseError("sequence base needs an explicit period, "
-                             "e.g. seq:1101(0)")
-        return s
+        return parse_sequence(text[4:])
     m = _POLY_RE.match(text)
     if m:
         coeffs = [int(t) for t in m.group(1).split(",")]
@@ -153,9 +148,6 @@ def expand(base, mode, depth, as_json):
 def check(seq, which, as_json):
     """Lexicographic admissibility / univoqueness checks on a sequence."""
     s = parse_sequence(seq)
-    if not isinstance(s, EPSequence):
-        raise ParseError("an infinite sequence is required; add an "
-                         "explicit period, e.g. '111(0)'")
     payload = {"command": "check", "sequence": str(s),
                "which": which}
     if which in ("univoque", "closure"):
@@ -182,14 +174,9 @@ def check(seq, which, as_json):
 def approximate(alpha, n_from, n_to, as_json):
     """Certified algebraic univoque approximants of the base whose
     quasi-greedy expansion is (ALPHA)^infinity."""
-    alpha_w = parse_word(alpha)
-    if n_from is None:
-        n_from = approximator.minimal_n(alpha_w)
-    if n_to is None:
-        n_to = n_from
-    records = approximator.approximate(alpha_w, n_from, n_to)
+    records = approximator.approximate(parse_word(alpha), n_from, n_to)
     payload = {"command": "approximate", "alpha": alpha,
-               "from": n_from, "to": n_to,
+               "from": records[0].N, "to": records[-1].N,
                "records": [r.as_dict() for r in records]}
     _emit(payload, as_json)
 
@@ -237,8 +224,6 @@ def solve(seq, as_json):
     """Defining polynomial and isolating interval of the base whose value
     at the given sequence is 1."""
     s = parse_sequence(seq)
-    if not isinstance(s, EPSequence):
-        raise ParseError("an infinite sequence is required")
     a = expansions.solve_base(s)
     _emit({"command": "solve", "sequence": str(s),
            "polynomial": list(a.poly),

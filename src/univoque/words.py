@@ -66,17 +66,19 @@ class EPSequence:
 
 
 def ep_sequence(pre, per) -> EPSequence:
-    """Canonicalize a (preperiod, period) pair."""
+    """Canonicalize a (preperiod, period) pair: make the period primitive,
+    then drop the t last preperiod digits that repeat it and rotate it
+    right by t, once."""
     pre = word(pre)
     per = word(per)
     if not per:
         raise ParseError("period must be nonempty")
     per = _primitive(per)
-    pre = list(pre)
-    while pre and pre[-1] == per[-1]:
-        per = per[-1:] + per[:-1]
-        pre.pop()
-    return EPSequence(tuple(pre), per)
+    t = 0
+    while t < len(pre) and pre[-1 - t] == per[-1 - t % len(per)]:
+        t += 1
+    d = t % len(per)
+    return EPSequence(pre[:len(pre) - t], per[-d:] + per[:-d])
 
 
 def shift(s: EPSequence, j: int) -> EPSequence:
@@ -118,10 +120,10 @@ def lex_compare(a: EPSequence, b: EPSequence) -> int:
 # --- string grammar -------------------------------------------------------
 #
 #   WORD := DIGITSEQ | "[" INT ("," INT)* "]"
-#   SEQ  := WORD? ( "(" WORD ")" )?
+#   SEQ  := WORD? "(" WORD ")"
 #
 # "110110(11010010)" is preperiod 110110 with period 11010010; "(10)" is
-# (10)^infinity; "1101" alone is the finite word.
+# (10)^infinity; "1101" alone has no period and is refused.
 
 _WORD_RE = re.compile(r"^(?:[0-9]*|\[\s*\d+(?:\s*,\s*\d+)*\s*\])$")
 
@@ -135,9 +137,8 @@ def parse_word(text: str) -> tuple:
     return word(int(ch) for ch in text)
 
 
-def parse_sequence(text: str):
-    """Parse the SEQ grammar.  Returns an EPSequence when a period is
-    present, otherwise a finite Word."""
+def parse_sequence(text: str) -> EPSequence:
+    """Parse the SEQ grammar into a canonical EPSequence."""
     text = text.strip()
     m = re.match(r"^(.*?)(?:\((.+)\))?$", text)
     if m is None:
@@ -145,7 +146,8 @@ def parse_sequence(text: str):
     pre_txt, per_txt = m.group(1), m.group(2)
     pre = parse_word(pre_txt) if pre_txt else ()
     if per_txt is None:
-        return pre
+        raise ParseError("an infinite sequence is required; add an "
+                         "explicit period, e.g. '111(0)'")
     return ep_sequence(pre, parse_word(per_txt))
 
 

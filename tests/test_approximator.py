@@ -55,7 +55,8 @@ def test_construct_gamma_n_too_small():
 
 def test_minimal_n_is_the_least_n_construct_gamma_accepts():
     for alpha in [(1, 1, 0), (1, 1, 1, 0), (1, 1, 0, 1, 0, 0)]:
-        n = approximator.minimal_n(alpha)
+        (record,) = approximate(alpha)
+        n = record.N
         construct_gamma(alpha, n)
         with pytest.raises(NTooSmallError) as exc:
             construct_gamma(alpha, n - 1)

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from univoque import characterization
 from univoque.algebraic import refine
@@ -15,8 +15,10 @@ from univoque.characterization import (ConditionWitness, SearchCapExceeded,
                                        check_quasi_greedy_admissible,
                                        classify, find_m,
                                        verify_lemma_26)
-from univoque.expansions import greedy_expansion, solve_base
-from univoque.words import (EQ, GT, LT, complement, ep_sequence,
+from univoque.expansions import (greedy_expansion, solve_base,
+                                 thue_morse_prefix)
+from univoque.words import (EQ, GT, LT, complement, complement_word,
+                            ep_sequence,
                             lex_compare, shift)
 
 S10 = ep_sequence((), (1, 0))
@@ -84,6 +86,68 @@ def test_find_m_cap():
     # for (1110)^inf the smallest valid m is 5, so a cap at 4 is exceeded
     with pytest.raises(SearchCapExceeded):
         find_m(ones_zero(3), 4, cap=4)
+
+
+def _find_m_ref(s, k, cap=None):
+    """find_m by comparing the two blocks of every j < m as tuples, for
+    each m from k up."""
+    if not classify(s).in_closure:
+        raise characterization.NotInClosureError("not closure-admissible")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if cap is None:
+        cap = 50 * (len(s.preperiod) + len(s.period))
+    if cap < k:
+        raise ValueError("cap must be >= k")
+    b = s.digit(1)
+    for m in range(k, cap + 1):
+        prefix = s.prefix(m)
+        if all(complement_word(prefix[j:], b) < prefix[:m - j]
+               for j in range(m)):
+            return m
+    raise SearchCapExceeded("no valid m found up to cap %d" % cap)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, SearchCapExceeded) as exc:
+        return type(exc)
+
+
+@st.composite
+def _closure_sequences(draw):
+    """Closure-admissible sequences led by their largest digit, often with
+    a preperiod that repeats part of the period."""
+    top = draw(st.integers(1, 2))
+    digit = st.integers(0, top)
+    per = [top] + draw(st.lists(digit, max_size=7))
+    pre = draw(st.lists(digit, max_size=6))
+    if pre:
+        pre[0] = top
+    pre += per * draw(st.integers(0, 2))
+    s = ep_sequence(pre, per)
+    assume(classify(s).in_closure)
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closure_sequences())
+def test_find_m_matches_the_block_comparison_reference(s):
+    p, r = len(s.preperiod), len(s.period)
+    for k in sorted({1, r, p + r}):
+        m = find_m(s, k)
+        assert m == _find_m_ref(s, k) >= k
+        for cap in (m - 1, m):
+            assert _outcome(find_m, s, k, cap) == \
+                _outcome(_find_m_ref, s, k, cap)
+
+
+def test_find_m_on_a_384_digit_thue_morse_word_takes_under_a_tenth_of_a_s():
+    s = ep_sequence((), thue_morse_prefix(384))
+    t = time.perf_counter()
+    assert find_m(s, 384) == 512
+    assert time.perf_counter() - t < 0.1
 
 
 def test_verify_lemma_26_examples():

@@ -70,6 +70,19 @@ def test_check_parse_error():
     assert run("check", "1101", "--which", "closure").exit_code == 2
 
 
+def test_finite_sequences_get_the_one_period_message():
+    want = run("check", "1101", "--which", "closure")
+    assert want.exit_code == 2
+    assert want.stderr.splitlines() == [
+        "error: an infinite sequence is required; add an explicit period, "
+        "e.g. '111(0)'"]
+    for args in (("solve", "1101"), ("expand", "seq:1101")):
+        r = run(*args)
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr == want.stderr
+
+
 def test_approximate_records_json():
     r = run("approximate", "110", "--from", "2", "--to", "4", "--json")
     assert r.exit_code == 0

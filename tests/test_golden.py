@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -114,4 +115,16 @@ def test_deep_oracle_counts_are_unchanged_and_fast():
     out, elapsed = _fresh("oracle", "seq:(110)", "--depth", "2000",
                           "--counts", "--json", code=1)
     assert hashlib.sha256(out).hexdigest() == ORACLE_110_2000
+    assert elapsed < 1.5
+
+
+def test_check_of_a_preperiod_that_repeats_a_20000_digit_period_is_fast():
+    """w(w) with w a seeded 20,000-digit binary word led by 1: the whole
+    preperiod moves into the period, so the canonical form is (w); in a
+    fresh process, under 1.5 s."""
+    rng = random.Random(20000)
+    w = "1" + "".join(rng.choice("01") for _ in range(19999))
+    out, elapsed = _fresh("check", "%s(%s)" % (w, w), "--which", "closure",
+                          "--json", code=1)
+    assert json.loads(out)["sequence"] == "(%s)" % w
     assert elapsed < 1.5

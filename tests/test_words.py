@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from univoque.words import (EPSequence, LT, EQ, GT, ParseError,
+from univoque.words import (EPSequence, LT, EQ, GT, ParseError, _primitive,
                             complement, complement_word, ep_sequence,
                             format_word, lex_compare,
                             parse_sequence, parse_word, shift)
@@ -58,7 +58,8 @@ def test_parse_and_format_round_trip():
     assert parse_sequence("110110(11010010)") == ep_sequence(
         (1, 1, 0, 1, 1, 0), (1, 1, 0, 1, 0, 0, 1, 0))
     assert parse_sequence("(10)") == ep_sequence((), (1, 0))
-    assert parse_sequence("1101") == (1, 1, 0, 1)
+    with pytest.raises(ParseError):
+        parse_sequence("1101")
     assert parse_word("[10,2,0]") == (10, 2, 0)
     assert format_word((10, 2)) == "[10,2]"
     s = ep_sequence((1, 1), (0,))
@@ -118,3 +119,21 @@ def test_canonical_form_invariants(s):
             assert per[:d] * (len(per) // d) != per
     if s.preperiod:
         assert s.preperiod[-1] != s.period[-1]
+
+
+def _ep_sequence_ref(pre, per):
+    """Canonical form by popping the last preperiod digit and rotating the
+    period right by one, while the two last digits agree."""
+    pre, per = list(pre), _primitive(tuple(per))
+    while pre and pre[-1] == per[-1]:
+        per = per[-1:] + per[:-1]
+        pre.pop()
+    return EPSequence(tuple(pre), per)
+
+
+@given(words_any, words_nonempty, st.integers(0, 6), st.integers(0, 4))
+def test_canonical_form_matches_the_pop_and_rotate_reference(head, per, i,
+                                                             copies):
+    # the preperiod ends in a suffix of the period and whole copies of it
+    pre = head + per[len(per) - i % (len(per) + 1):] + per * copies
+    assert ep_sequence(pre, per) == _ep_sequence_ref(pre, per)
