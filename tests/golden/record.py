@@ -164,6 +164,17 @@ COMMANDS = README + [
     # a preperiod that ends in a copy of the period: (110) in canonical form
     ["check", "110110(110)", "--which", "closure"],
     ["solve", "11011(011)"],
+] + [
+    # (2q - 3)(q - 5): the root 3/2 is the first midpoint of (1, 2), and
+    # only sign tests reach it, through the thin interval around it
+    ["expand", "poly:15,-13,2 in (1,2)", "--depth", "12"],
+    ["expand", "poly:15,-13,2 in (1,2)", "--mode", "quasi", "--depth", "12"],
+    ["oracle", "poly:15,-13,2 in (1,2)", "--depth", "8", "--counts"],
+] + [
+    # usage errors: a missing option, a bad option value, an unknown option
+    ["check", "110"],
+    ["expand", "2", "--depth", "abc"],
+    ["oracle", "2", "--bogus"],
 ]
 
 
