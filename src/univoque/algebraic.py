@@ -8,34 +8,37 @@ decisions are exact: bisection midpoints are rationals and sign tests
 never touch floating point.
 
 Every interval a computation narrows to is a cell of the bisection grid
-of the isolating interval: the 2^d equal cells at depth d.  `refine`
-steps by quadratic interval refinement (QIR; Abbott, ACM CCA 2014): the
-secant over the current cell picks one of nq = 2^j subcells, two sign
-tests confirm it and nq is squared; a step that fails takes nq to its
-square root and bisects.  Near the root each successful step doubles the
-bits gained.  The answer for a width eps is the ancestor, at the depth
-where plain bisection stops, of the deepest cell found: the interval
-bisection gives, at no further sign test.  Only a root at a grid point
-(a dyadic root) leaves the grid, through the thin interval bisection
-keeps around a midpoint root.  The polynomial stepped on is the defining
-one when it changes sign strictly over the isolating interval (a root of
-odd multiplicity); only a root of even multiplicity needs the square-free
-part.
+of the isolating interval: the 2^d equal cells at depth d.  `refine` and
+`sign_at` narrow it by one step rule, `_step`: quadratic interval
+refinement (QIR; Abbott, ACM CCA 2014), where the secant over the current
+cell picks one of nq = 2^j subcells, two sign tests confirm it and nq is
+squared; a step that fails takes nq to its square root and bisects.  Near
+the root each successful step doubles the bits gained.  A root at a grid
+point (a dyadic root) is the one exception: once a step evaluates the
+polynomial there, the interval carries nq = 0 and only bisects, and
+bisection keeps a thin interval around a midpoint root, off the grid.
+`refine`'s answer for a width eps is the ancestor, at the depth where
+plain bisection stops, of the deepest cell found: the interval bisection
+gives, at no further sign test.  The polynomial stepped on is the
+defining one when it changes sign strictly over the isolating interval (a
+root of odd multiplicity); only a root of even multiplicity needs the
+square-free part.
 
 The sign of an integer polynomial c at the root is decided in three
 stages, cheapest first.  An interval enclosure of c over the isolating
 interval decides it whenever the enclosure excludes 0.  Otherwise the
-interval is bisected and the enclosure is tried again.  Once the
-interval is narrower than a width tied to the bit size of c and the
+interval is narrowed by one step and the enclosure is tried again.  Once
+the interval is narrower than a width tied to the bit size of c and the
 enclosure still contains 0, one exact zero test settles whether c
 vanishes at the root: the square-free part of gcd(a.poly, c) changes sign
 over the interval.
 
 One bounded memo keeps the tightest interval found for each root, with
-the polynomial's values at its ends and QIR's current nq.  `sign_at` and
-`refine` both start from it and leave their own tightest interval
-behind, so successive calls at one root share the work; the memo never
-changes an AlgebraicReal or a result.
+the polynomial's values at its ends and its nq.  `sign_at` and `refine`
+both start from it and leave their own tightest interval behind, so
+successive calls at one root share the work, and a dyadic root found by
+one call is known to the next; the memo never changes an AlgebraicReal or
+a result.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ class _Box(NamedTuple):
     """An isolating interval (lo/den, hi/den) in integer form, with f a
     polynomial that changes sign at the root, vlo and vhi its values
     den^deg f at lo/den and hi/den (of opposite signs), and nq the number
-    of subcells the next QIR step of `refine` splits the interval into."""
+    of subcells the next QIR step splits the interval into; nq = 0 marks
+    a root at a grid point, where steps only bisect."""
 
     f: tuple
     lo: int
@@ -142,7 +146,8 @@ def _box(a: AlgebraicReal) -> _Box:
 
 def _bisect(box: _Box) -> _Box:
     """One bisection step.  The root is a sign change of f, so the half
-    without a sign change is discarded."""
+    without a sign change is discarded; a root at the midpoint leaves a
+    thin interval around it, off the grid, with nq = 0."""
     f, lo, hi, den, vlo, vhi, nq = box
     k = len(f) - 1
     mid = lo + hi
@@ -151,7 +156,7 @@ def _bisect(box: _Box) -> _Box:
         # the midpoint IS the root; keep a thin interval around it
         lo, hi, den = 5 * lo + 3 * hi, 3 * lo + 5 * hi, 8 * den
         return _Box(f, lo, hi, den, pl.scaled_value(f, lo, den),
-                    pl.scaled_value(f, hi, den), nq)
+                    pl.scaled_value(f, hi, den), 0)
     if _sign(vlo) != _sign(vmid):
         return _Box(f, 2 * lo, mid, 2 * den, vlo << k, vmid, nq)
     return _Box(f, mid, 2 * hi, 2 * den, vmid, vhi << k, nq)
@@ -164,7 +169,7 @@ def _qir(box: _Box):
     subcells; the values at that subcell's two ends confirm it, and cost
     one evaluation each, none at an end of the interval itself.  Returns
     the subcell with nq squared; None when the subcell holds no sign
-    change; and 0 when an evaluated point is the root."""
+    change; and 0 when an evaluated point is the root, a grid point."""
     f, lo, hi, den, vlo, vhi, nq = box
     j = nq.bit_length() - 1
     w, shift, slo = hi - lo, j * (len(f) - 1), _sign(vlo)
@@ -192,6 +197,17 @@ def _qir(box: _Box):
                 vi, vi1, nq * nq)
 
 
+def _step(box: _Box) -> _Box:
+    """The one narrowing step of `refine` and `sign_at`: a QIR step, or,
+    when it fails, one bisection with nq at its square root.  A root found
+    at a grid point sets nq = 0, and an nq = 0 box only bisects."""
+    step = _qir(box) if box.nq else 0
+    if step:
+        return step
+    nq = 0 if step == 0 else max(4, 1 << (box.nq.bit_length() - 1) // 2)
+    return _bisect(box._replace(nq=nq))
+
+
 # The tightest interval found so far per root, least recently used first.
 _REFINED: OrderedDict = OrderedDict()
 _REFINED_MAX = 256
@@ -209,13 +225,12 @@ def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
 
     The result is the interval plain bisection of a's interval stops at:
     the cell of its grid that holds the root, at the first depth t whose
-    cells are no wider than eps.  QIR steps (`_qir`), with one bisection
-    for each step that fails, find a cell at depth t or below, starting
-    from the memo's box for a when its width numerator is that of a's
-    interval, which among the boxes kept for a only the cells of a's grid
-    have; the answer is its ancestor at depth t.  Once a grid point proves
-    to be the root, bisection alone finishes the call, through the thin
-    intervals it keeps around a midpoint root.
+    cells are no wider than eps.  Steps (`_step`) find a cell at depth t
+    or below, starting from the memo's box for a when its width numerator
+    is that of a's interval, which among the boxes kept for a only the
+    cells of a's grid have; the answer is its ancestor at depth t.  A
+    dyadic root instead ends in the thin interval bisection keeps around
+    a midpoint root, off the grid, and that interval is the answer.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -231,21 +246,12 @@ def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
     # a midpoint root (width 2^k w, k >= 1)
     if box is None or box.hi - box.lo != w:
         box = _box(a)
-    dyadic = False
     try:
         while (box.hi - box.lo) * eps.denominator > eps.numerator * box.den:
-            step = None if dyadic else _qir(box)
-            if step:
-                box = step
-                continue
-            box = _bisect(box._replace(
-                nq=max(4, 1 << (box.nq.bit_length() - 1) // 2)))
-            # a root at a grid point, or a thin interval around a midpoint
-            # root (off the grid), leaves only bisection
-            dyadic = dyadic or step == 0 or box.hi - box.lo != w
+            box = _step(box)
     finally:
         _remember(a, box)
-    if dyadic:
+    if box.hi - box.lo != w:
         return AlgebraicReal(a.poly, Fraction(box.lo, box.den),
                              Fraction(box.hi, box.den))
     # the ancestor at depth t of the cell at depth d = log2(box.den / den0)
@@ -291,15 +297,15 @@ def sign_at(c, a: AlgebraicReal) -> int:
 
     First an interval enclosure of c over the isolating interval decides
     the sign whenever it excludes 0.  While it does not, the interval is
-    bisected and the enclosure tried again.  Once the interval is narrower
-    than 2^-(b + 32), b the bit size of the largest coefficient of c, and
-    the enclosure still contains 0, one exact zero test runs on
-    h = squarefree_part(gcd(a.poly, c)).  The interval isolates one
-    distinct root of a.poly and h divides a.poly, so a root of h inside
-    it is that root, simple in h: c vanishes at the root exactly when h
-    changes sign strictly over the interval.  If it does not, bisection
-    goes on until the enclosure excludes 0, which it does once the
-    interval is narrow enough.
+    narrowed by one step (`_step`) and the enclosure tried again.  Once
+    the interval is narrower than 2^-(b + 32), b the bit size of the
+    largest coefficient of c, and the enclosure still contains 0, one
+    exact zero test runs on h = squarefree_part(gcd(a.poly, c)).  The
+    interval isolates one distinct root of a.poly and h divides a.poly,
+    so a root of h inside it is that root, simple in h: c vanishes at the
+    root exactly when h changes sign strictly over the interval.  If it
+    does not, stepping goes on until the enclosure excludes 0, which it
+    does once the interval is narrow enough.
 
     Each call starts from the tightest interval found for an equal
     AlgebraicReal and leaves its own tightest interval behind in a bounded
@@ -324,6 +330,6 @@ def sign_at(c, a: AlgebraicReal) -> int:
                 if (_sign(pl.scaled_value(h, box.lo, box.den))
                         * _sign(pl.scaled_value(h, box.hi, box.den)) < 0):
                     return 0
-            box = _bisect(box)
+            box = _step(box)
     finally:
         _remember(a, box)

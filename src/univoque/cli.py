@@ -107,12 +107,18 @@ def _plain(val):
 
 class _Main(click.Group):
     """The one error map of every command: a NotInClosureError exits 1,
-    any other ValueError (parse, domain, usage) exits 2, each with a
-    one-line message on stderr."""
+    any other ValueError (parse, domain, usage) and click's own usage
+    errors (an unknown command or option, a missing or invalid argument)
+    exit 2, each with a one-line message on stderr."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            # click's own messages may span lines, e.g. a list of choices
+            click.echo("error: %s" % " ".join(exc.format_message().split()),
+                       err=True)
+            sys.exit(2)
         except ValueError as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(1 if isinstance(exc, NotInClosureError) else 2)

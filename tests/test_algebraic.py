@@ -121,30 +121,69 @@ def test_sign_at_roots_at_or_left_of_zero():
         == [1, 0, -1, 0]
 
 
+def _fib_near_miss(k):
+    """(n, d, side): n/d = F(k+1)/F(k) within 1/d^2 of the golden ratio, and
+    by Cassini's identity side = n^2 - n d - d^2 = +-1 says on which side
+    of it n/d lies."""
+    d, n = 1, 1
+    for _ in range(k - 1):
+        d, n = n, n + d
+    side = n * n - n * d - d * d
+    assert abs(side) == 1
+    return n, d, side
+
+
 def test_sign_at_near_miss_on_both_sides_of_golden_ratio(monkeypatch):
-    fib = [1, 1]
-    while len(fib) < 160:
-        fib.append(fib[-1] + fib[-2])
+    # a zero test is one gcd with the base polynomial; the square-free part
+    # of a nonconstant gcd takes a second gcd, with its derivative
     gcd_calls = []
     real_gcd = pl.poly_gcd
     monkeypatch.setattr(pl, "poly_gcd",
-                        lambda f, g: gcd_calls.append(g) or real_gcd(f, g))
-    for k, lo in ((150, F(1)), (151, F(3, 2))):
-        a = algebraic_real(GOLDEN, lo, 2)
-        n, d = fib[k + 1], fib[k]
-        # |phi - n/d| < 1/d^2 < 2^-200, and by Cassini's identity
-        # n^2 - n d - d^2 = +-1 says on which side of phi n/d lies
-        assert d.bit_length() > 100
-        side = n * n - n * d - d * d
-        assert abs(side) == 1
-        gcd_calls.clear()
-        assert sign_at((-n, d), a) == -side
-        assert len(gcd_calls) == 1
-        assert (a.lo, a.hi) == (lo, 2)
-        # a factor q - 5 shared with the base polynomial vanishes outside
-        # the interval, so the gcd it leaves is no zero at the root
-        b = algebraic_real(_mul(GOLDEN, (-5, 1)), lo, 2)
-        assert sign_at(_mul((-n, d), (-5, 1)), b) == side
+                        lambda f, g: gcd_calls.append(f) or real_gcd(f, g))
+    for k in range(100, 161):
+        n, d, side = _fib_near_miss(k)
+        # |phi - n/d| < 1/d^2 < 2^-120
+        assert d.bit_length() > 60
+        for lo in (F(1), F(3, 2)):
+            a = algebraic_real(GOLDEN, lo, 2)
+            gcd_calls.clear()
+            assert sign_at((-n, d), a) == -side
+            assert gcd_calls.count(a.poly) <= 1
+            assert (a.lo, a.hi) == (lo, 2)
+            # a factor q - 5 shared with the base polynomial vanishes
+            # outside the interval, so the gcd it leaves is no zero at the
+            # root
+            b = algebraic_real(_mul(GOLDEN, (-5, 1)), lo, 2)
+            gcd_calls.clear()
+            assert sign_at(_mul((-n, d), (-5, 1)), b) == side
+            assert gcd_calls.count(b.poly) <= 1
+
+
+def test_a_nonzero_zero_test_lets_the_steps_go_on(monkeypatch):
+    """An enclosure kept ambiguous until the zero test has run and the
+    interval is narrower than 2^-(b + 40): the zero test runs once, finds
+    no common root, and the steps go on until the enclosure decides the
+    sign.  (A QIR step can pass 2^-(b + 32) and 2^-(b + 40) at once, so
+    the width alone would not hold the enclosure open past the test.)"""
+    events = []
+    real_gcd, real_step = pl.poly_gcd, algebraic._step
+    monkeypatch.setattr(pl, "poly_gcd", lambda f, g: events.append("gcd")
+                        or real_gcd(f, g))
+    monkeypatch.setattr(algebraic, "_step", lambda box: events.append("step")
+                        or real_step(box))
+    real_filter = algebraic._filter
+    for k in (150, 151):
+        n, d, side = _fib_near_miss(k)
+        b = max(n, d).bit_length()
+        monkeypatch.setattr(
+            algebraic, "_filter", lambda c, lo, hi, den: 0
+            if "gcd" not in events or (hi - lo) << (b + 40) > den
+            else real_filter(c, lo, hi, den))
+        algebraic._REFINED.clear()
+        events.clear()
+        assert sign_at((-n, d), algebraic_real(GOLDEN, 1, 2)) == -side
+        assert events.count("gcd") == 1
+        assert "step" in events[events.index("gcd"):]
 
 
 def test_sign_at_stable_under_refine():
@@ -446,6 +485,63 @@ def test_a_root_found_at_a_grid_point_ends_the_qir_steps(monkeypatch):
     eps = F(1, 2 ** 40)
     assert refine(a, eps) == _bisection_refine(a, eps)
     assert 0 in steps and steps.index(0) == len(steps) - 1
+
+
+def test_refine_reads_a_cell_that_sign_at_left_without_new_sign_tests(
+        monkeypatch):
+    """sign_at and refine narrow one memo box by one step rule, so a width
+    the box already meets costs refine no evaluation."""
+    a = algebraic_real(GOLDEN, 1, 2)
+    algebraic._REFINED.clear()
+    n, d, side = _fib_near_miss(150)
+    assert sign_at((-n, d), a) == -side
+    box = algebraic._REFINED[a]
+    width = F(box.hi - box.lo, box.den)
+    assert width < F(1, 2 ** 200)
+    expected = {eps: _bisection_refine(a, eps)
+                for eps in (width, 3 * width, F(1, 2 ** 100))}
+    calls = []
+    real = pl.scaled_value
+    monkeypatch.setattr(pl, "scaled_value",
+                        lambda *args: calls.append(args) or real(*args))
+    for eps, r in expected.items():
+        assert refine(a, eps) == r
+    assert calls == []
+
+
+def test_a_root_found_by_sign_at_stops_the_qir_steps_of_the_next_call(
+        monkeypatch):
+    """(2q - 3)(q - 5): the first QIR step evaluates its root 3/2, and the
+    memo box keeps nq = 0, so a second sign test only bisects."""
+    steps = []
+    real = algebraic._qir
+    monkeypatch.setattr(algebraic, "_qir",
+                        lambda box: steps.append(real(box)) or steps[-1])
+    a = algebraic_real((15, -13, 2), 1, 2)
+    algebraic._REFINED.clear()
+    assert sign_at((-3, 2), a) == 0
+    assert 0 in steps
+    assert algebraic._REFINED[a].nq == 0
+    steps.clear()
+    assert sign_at((-9, 0, 4), a) == 0
+    assert sign_at((-7, 4), a) == -1
+    assert steps == []
+
+
+def test_a_midpoint_root_found_by_bisection_marks_its_thin_box(monkeypatch):
+    """(2x - 3) x^4 on (1, 2): the first secant misses, the bisection that
+    follows evaluates the root 3/2 at its midpoint, and the thin interval
+    it keeps around the root carries nq = 0, so no QIR step follows."""
+    steps = []
+    real = algebraic._qir
+    monkeypatch.setattr(algebraic, "_qir",
+                        lambda box: steps.append(real(box)) or steps[-1])
+    a = algebraic_real((0, 0, 0, 0, -3, 2), 1, 2)
+    algebraic._REFINED.clear()
+    eps = F(1, 2 ** 40)
+    assert refine(a, eps) == _bisection_refine(a, eps)
+    assert steps == [None]
+    assert algebraic._REFINED[a].nq == 0
 
 
 @pytest.mark.parametrize("p, lo, hi", REFINE_CASES + [(TRIB, 1, 2)])

@@ -124,14 +124,18 @@ def test_kl_enclosure():
     assert round(lo, 2) == round(hi, 2) == 1.79
 
 
-def test_kl_at_eps_1e_3000_runs_in_a_fresh_process_within_3_s():
+def _fresh_cli(*argv):
+    """The completed `python -m univoque.cli ARGV` process, text mode."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "univoque.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_kl_at_eps_1e_3000_runs_in_a_fresh_process_within_3_s():
     t = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "univoque.cli", "kl",
-                           "--eps", "1e-3000", "--json"],
-                          capture_output=True, env=env, timeout=60)
+    proc = _fresh_cli("kl", "--eps", "1e-3000", "--json")
     assert time.monotonic() - t < 3
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
@@ -149,6 +153,33 @@ def test_negative_depth_is_a_usage_error():
         assert r.exit_code == 2
         assert r.output.strip().splitlines() == \
             ["error: depth must be >= %d, got %s" % (least, depth)]
+
+
+def test_usage_errors_print_one_line_in_a_fresh_process():
+    """click's usage errors span 4-9 lines of usage text and choices; the
+    CLI prints each as one line and exits 2."""
+    for argv, msg in (
+            (("check", "110"), "Missing option '--which'. Choose from: "
+             "univoque, closure, greedy, quasi"),
+            (("expand", "2", "--depth", "abc"),
+             "Invalid value for '--depth': 'abc' is not a valid integer."),
+            (("oracle", "2", "--bogus"),
+             "No such option '--bogus'. Did you mean '--counts'?"),
+            (("nosuch",), "No such command 'nosuch'."),
+            (("expand", "-1"), "No such option '-1'."),
+            (("kl", "--eps"), "Option '--eps' requires an argument."),
+            (("expand",), "Missing argument 'BASE'.")):
+        proc = _fresh_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: " + msg]
+
+
+def test_a_bare_command_prints_its_help():
+    proc = _fresh_cli()
+    assert proc.returncode in (0, 2)
+    assert "Usage:" in proc.stdout + proc.stderr
+    assert "Commands:" in proc.stdout + proc.stderr
 
 
 def test_oracle_depth_zero_is_a_usage_error():
