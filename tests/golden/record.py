@@ -175,6 +175,10 @@ COMMANDS = README + [
     ["check", "110"],
     ["expand", "2", "--depth", "abc"],
     ["oracle", "2", "--bogus"],
+] + [
+    # an unknown option before the command, raised while the group parses
+    # its own options
+    ["--bogus"],
 ]
 
 
