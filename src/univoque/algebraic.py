@@ -8,37 +8,38 @@ decisions are exact: bisection midpoints are rationals and sign tests
 never touch floating point.
 
 Every interval a computation narrows to is a cell of the bisection grid
-of the isolating interval: the 2^d equal cells at depth d.  `refine` and
-`sign_at` narrow it by one step rule, `_step`: quadratic interval
-refinement (QIR; Abbott, ACM CCA 2014), where the secant over the current
-cell picks one of nq = 2^j subcells, two sign tests confirm it and nq is
-squared; a step that fails takes nq to its square root and bisects.  Near
-the root each successful step doubles the bits gained.  A root at a grid
-point (a dyadic root) is the one exception: once a step evaluates the
-polynomial there, the interval carries nq = 0 and only bisects, and
-bisection keeps a thin interval around a midpoint root, off the grid.
-`refine`'s answer for a width eps is the ancestor, at the depth where
-plain bisection stops, of the deepest cell found: the interval bisection
-gives, at no further sign test.  The polynomial stepped on is the
-defining one when it changes sign strictly over the isolating interval (a
-root of odd multiplicity); only a root of even multiplicity needs the
-square-free part.
+of the isolating interval, the 2^d equal cells at depth d, or a point of
+that grid.  `refine` and `sign_at` narrow it by one step rule, `_step`:
+quadratic interval refinement (QIR; Abbott, ACM CCA 2014), where the
+secant over the current cell picks one of nq = 2^j subcells, two sign
+tests confirm it and nq is squared; a step that fails takes nq to its
+square root and bisects.  Near the root each successful step doubles the
+bits gained.  A step that evaluates the polynomial at the root itself, a
+grid point (a dyadic root), ends the narrowing: the interval becomes that
+point, lo == hi, the exact rational root.  `refine`'s answer for a width
+eps is the interval plain bisection gives, at no further sign test: the
+ancestor, at the depth where plain bisection stops, of the deepest cell
+found, or, once the root is a point, that ancestor or the thin interval
+bisection keeps around a midpoint root, in closed form.  The polynomial
+stepped on is the defining one when it changes sign strictly over the
+isolating interval (a root of odd multiplicity); only a root of even
+multiplicity needs the square-free part.
 
 The sign of an integer polynomial c at the root is decided in three
 stages, cheapest first.  An interval enclosure of c over the isolating
-interval decides it whenever the enclosure excludes 0.  Otherwise the
-interval is narrowed by one step and the enclosure is tried again.  Once
-the interval is narrower than a width tied to the bit size of c and the
-enclosure still contains 0, one exact zero test settles whether c
-vanishes at the root: the square-free part of gcd(a.poly, c) changes sign
-over the interval.
+interval decides it whenever the enclosure excludes 0, and at a point it
+is exact, 0 included.  Otherwise the interval is narrowed by one step and
+the enclosure is tried again.  Once the interval is narrower than a width
+tied to the bit size of c and the enclosure still contains 0, one exact
+zero test settles whether c vanishes at the root: the square-free part of
+gcd(a.poly, c) changes sign over the interval.
 
-One bounded memo keeps the tightest interval found for each root, with
-the polynomial's values at its ends and its nq.  `sign_at` and `refine`
-both start from it and leave their own tightest interval behind, so
-successive calls at one root share the work, and a dyadic root found by
-one call is known to the next; the memo never changes an AlgebraicReal or
-a result.
+One bounded memo keeps the tightest interval found for each root, a cell
+or a point, with the polynomial's values at its ends and its nq.
+`sign_at` and `refine` both start from it and leave their own tightest
+interval behind, so successive calls at one root share the work, and a
+dyadic root found by one call is known to the next; the memo never
+changes an AlgebraicReal or a result.
 """
 
 from __future__ import annotations
@@ -106,9 +107,10 @@ def algebraic_real(poly_coeffs, lo, hi) -> AlgebraicReal:
 class _Box(NamedTuple):
     """An isolating interval (lo/den, hi/den) in integer form, with f a
     polynomial that changes sign at the root, vlo and vhi its values
-    den^deg f at lo/den and hi/den (of opposite signs), and nq the number
-    of subcells the next QIR step splits the interval into; nq = 0 marks
-    a root at a grid point, where steps only bisect."""
+    den^deg f at lo/den and hi/den, and nq the number of subcells the next
+    QIR step splits the interval into.  A cell has lo < hi and vlo, vhi of
+    opposite signs; lo == hi is a point, the exact root, where vlo = vhi =
+    0 and no step applies."""
 
     f: tuple
     lo: int
@@ -146,17 +148,14 @@ def _box(a: AlgebraicReal) -> _Box:
 
 def _bisect(box: _Box) -> _Box:
     """One bisection step.  The root is a sign change of f, so the half
-    without a sign change is discarded; a root at the midpoint leaves a
-    thin interval around it, off the grid, with nq = 0."""
+    without a sign change is discarded; a root at the midpoint is returned
+    as that point."""
     f, lo, hi, den, vlo, vhi, nq = box
     k = len(f) - 1
     mid = lo + hi
     vmid = pl.scaled_value(f, mid, 2 * den)
     if vmid == 0:
-        # the midpoint IS the root; keep a thin interval around it
-        lo, hi, den = 5 * lo + 3 * hi, 3 * lo + 5 * hi, 8 * den
-        return _Box(f, lo, hi, den, pl.scaled_value(f, lo, den),
-                    pl.scaled_value(f, hi, den), 0)
+        return _Box(f, mid, mid, 2 * den, 0, 0, nq)
     if _sign(vlo) != _sign(vmid):
         return _Box(f, 2 * lo, mid, 2 * den, vlo << k, vmid, nq)
     return _Box(f, mid, 2 * hi, 2 * den, vmid, vhi << k, nq)
@@ -168,8 +167,9 @@ def _qir(box: _Box):
     The secant of f over the interval points at one of its nq = 2^j equal
     subcells; the values at that subcell's two ends confirm it, and cost
     one evaluation each, none at an end of the interval itself.  Returns
-    the subcell with nq squared; None when the subcell holds no sign
-    change; and 0 when an evaluated point is the root, a grid point."""
+    the subcell with nq squared; the point itself when an evaluated point
+    is the root, a grid point; and None when the subcell holds no sign
+    change."""
     f, lo, hi, den, vlo, vhi, nq = box
     j = nq.bit_length() - 1
     w, shift, slo = hi - lo, j * (len(f) - 1), _sign(vlo)
@@ -181,15 +181,20 @@ def _qir(box: _Box):
             return vhi << shift
         return pl.scaled_value(f, (lo << j) + i * w, den << j)
 
+    def root(i):
+        x = (lo << j) + i * w
+        return _Box(f, x, x, den << j, 0, 0, nq)
+
     # the subcell end nearest the secant's root: round(nq vlo / (vlo - vhi))
     m = (2 * nq * vlo + vlo - vhi) // (2 * (vlo - vhi))
     vm = value(m)
     if vm == 0:
-        return 0
+        return root(m)
     i = m if _sign(vm) == slo else m - 1
-    vo = value(m + 1 if i == m else m - 1)
+    o = m + 1 if i == m else m - 1
+    vo = value(o)
     if vo == 0:
-        return 0
+        return root(o)
     vi, vi1 = (vm, vo) if i == m else (vo, vm)
     if _sign(vi) != slo or _sign(vi1) == slo:
         return None
@@ -198,14 +203,11 @@ def _qir(box: _Box):
 
 
 def _step(box: _Box) -> _Box:
-    """The one narrowing step of `refine` and `sign_at`: a QIR step, or,
-    when it fails, one bisection with nq at its square root.  A root found
-    at a grid point sets nq = 0, and an nq = 0 box only bisects."""
-    step = _qir(box) if box.nq else 0
-    if step:
-        return step
-    nq = 0 if step == 0 else max(4, 1 << (box.nq.bit_length() - 1) // 2)
-    return _bisect(box._replace(nq=nq))
+    """The one narrowing step of `refine` and `sign_at`, on a cell: a QIR
+    step, or, when it fails, one bisection with nq at its square root.
+    Either may end on the root as a point."""
+    return _qir(box) or _bisect(
+        box._replace(nq=max(4, 1 << (box.nq.bit_length() - 1) // 2)))
 
 
 # The tightest interval found so far per root, least recently used first.
@@ -225,12 +227,15 @@ def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
 
     The result is the interval plain bisection of a's interval stops at:
     the cell of its grid that holds the root, at the first depth t whose
-    cells are no wider than eps.  Steps (`_step`) find a cell at depth t
-    or below, starting from the memo's box for a when its width numerator
-    is that of a's interval, which among the boxes kept for a only the
-    cells of a's grid have; the answer is its ancestor at depth t.  A
-    dyadic root instead ends in the thin interval bisection keeps around
-    a midpoint root, off the grid, and that interval is the answer.
+    cells are no wider than eps.  Steps (`_step`) go on from the memo's
+    box for a, a cell or a point of a's grid, until it is a cell at depth
+    t or below, or a point; the answer is its ancestor at depth t.  A
+    point r, on the grid from depth d0 on (a dyadic root), is answered in
+    closed form: by its ancestor while t < d0.  From t = d0 on, bisection
+    meets r as a midpoint and keeps a thin interval centred on it, which
+    each further bisection narrows to a quarter: the answer has half-width
+    w / (den0 2^(d0 + 2 + 2k)), k = (t - d0) // 2, where w / den0 is the
+    width of a's interval.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -241,22 +246,23 @@ def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
     t = (-(-w * eps.denominator // (eps.numerator * den0)) - 1).bit_length()
     if t == 0:
         return a
-    box = _REFINED.pop(a, None)
-    # a memo box is a cell of a's grid (width w) or a thin interval around
-    # a midpoint root (width 2^k w, k >= 1)
-    if box is None or box.hi - box.lo != w:
-        box = _box(a)
+    box = _REFINED.pop(a, None) or _box(a)
     try:
         while (box.hi - box.lo) * eps.denominator > eps.numerator * box.den:
             box = _step(box)
     finally:
         _remember(a, box)
-    if box.hi - box.lo != w:
-        return AlgebraicReal(a.poly, Fraction(box.lo, box.den),
-                             Fraction(box.hi, box.den))
-    # the ancestor at depth t of the cell at depth d = log2(box.den / den0)
+    # the box is cell or grid point i at depth d = log2(box.den / den0)
     d = (box.den // den0).bit_length() - 1
-    lo = (lo0 << t) + ((box.lo - (lo0 << d)) // w >> (d - t)) * w
+    i = (box.lo - (lo0 << d)) // w
+    if box.lo == box.hi:
+        # a point is on the grid from the depth that clears i's factors 2
+        d0 = d - ((i & -i).bit_length() - 1)
+        if t >= d0:
+            r = Fraction(box.lo, box.den)
+            h = Fraction(w, den0 << (d0 + 2 + 2 * ((t - d0) // 2)))
+            return AlgebraicReal(a.poly, r - h, r + h)
+    lo = (lo0 << t) + (i >> (d - t)) * w
     return AlgebraicReal(a.poly, Fraction(lo, den0 << t),
                          Fraction(lo + w, den0 << t))
 
@@ -297,7 +303,9 @@ def sign_at(c, a: AlgebraicReal) -> int:
 
     First an interval enclosure of c over the isolating interval decides
     the sign whenever it excludes 0.  While it does not, the interval is
-    narrowed by one step (`_step`) and the enclosure tried again.  Once
+    narrowed by one step (`_step`) and the enclosure tried again.  A step
+    may end on the root as a point, where the enclosure is the exact
+    value of c, so its sign, 0 included, is the answer.  Once
     the interval is narrower than 2^-(b + 32), b the bit size of the
     largest coefficient of c, and the enclosure still contains 0, one
     exact zero test runs on h = squarefree_part(gcd(a.poly, c)).  The
@@ -322,7 +330,7 @@ def sign_at(c, a: AlgebraicReal) -> int:
     try:
         while True:
             s = _filter(c, box.lo, box.hi, box.den)
-            if s != 0:
+            if s != 0 or box.lo == box.hi:
                 return s
             if not tested and (box.hi - box.lo) << zero_test_bits <= box.den:
                 tested = True

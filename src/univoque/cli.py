@@ -108,20 +108,32 @@ def _plain(val):
 class _Main(click.Group):
     """The one error map of every command: a NotInClosureError exits 1,
     any other ValueError (parse, domain, usage) and click's own usage
-    errors (an unknown command or option, a missing or invalid argument)
-    exit 2, each with a one-line message on stderr."""
+    errors (an unknown command or option, before the command or after it,
+    a missing or invalid argument) exit 2, each with a one-line message on
+    stderr.  A bare `univoque` still prints the help."""
+
+    def parse_args(self, ctx, args):
+        if not args:
+            # the help, raised as a UsageError by click 8.2 and later
+            return super().parse_args(ctx, args)
+        return _one_line_errors(super().parse_args, ctx, args)
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            # click's own messages may span lines, e.g. a list of choices
-            click.echo("error: %s" % " ".join(exc.format_message().split()),
-                       err=True)
-            sys.exit(2)
-        except ValueError as exc:
-            click.echo("error: %s" % exc, err=True)
-            sys.exit(1 if isinstance(exc, NotInClosureError) else 2)
+        return _one_line_errors(super().invoke, ctx)
+
+
+def _one_line_errors(run, *args):
+    """run(*args), with its errors printed and mapped as `_Main` says."""
+    try:
+        return run(*args)
+    except click.UsageError as exc:
+        # click's own messages may span lines, e.g. a list of choices
+        click.echo("error: %s" % " ".join(exc.format_message().split()),
+                   err=True)
+        sys.exit(2)
+    except ValueError as exc:
+        click.echo("error: %s" % exc, err=True)
+        sys.exit(1 if isinstance(exc, NotInClosureError) else 2)
 
 
 @click.group(cls=_Main)

@@ -338,42 +338,39 @@ def _kl_side(q: Fraction, L: int) -> tuple:
     when it falls short, and L' >= L is the prefix length that decided it.
 
     The rule, on the prefix of L terms with S = sum_{i<=L} tau_i q^-i and
-    the tail bound T = q^-L / (q - 1) >= sum_{i>L} tau_i q^-i: +1 when
-    S > 1, -1 when S + T < 1, else the prefix doubles and the rule runs
-    again.  It is decided in integers, with q = n/d:
+    the tail bound T = q^-L / (q - 1) = sum_{i>L} q^-i, at least the
+    Thue-Morse tail: +1 when S > 1, -1 when S + T < 1, else the prefix
+    doubles and the rule runs again.  It is decided in integers, with
+    q = n/d:
 
     - filter: `_kl_enclosure` at prec = bits(d) + bits(L) + _KL_GUARD
       decides each comparison it can, by Thue-Morse block doubling in
       O(log L) products, at most 2(r + 2)r units wide, r = q/(q - 1);
-    - fallback, for the one comparison the enclosure leaves open: n^L S is
-      the integer d * scaled_value(reversed tau, n, d), so S > 1 iff it
-      exceeds n^L, and S + T < 1 iff (n - d) n^L S + d^(L+1) is below
-      (n - d) n^L.
+    - fallback, for the one comparison the enclosure leaves open:
+      `solve_base`'s monotonicity rule on the sequences tau_L 0^inf, of
+      value S, and tau_L 1^inf, of value S + T.  The polynomial of such a
+      sequence (`poly_from_sequence`) is negative at q exactly when its
+      value exceeds 1, so S > 1 iff the first is negative at q, and
+      S + T < 1 iff the second is positive there.
 
     Both paths decide the same rule, so the result and the final prefix
     length do not depend on the filter.  Only the fallback needs the digits
     of the prefix.
     """
     n, d = q.numerator, q.denominator
+
+    def poly_at_q(tail):
+        s = ep_sequence(thue_morse_prefix(L), tail)
+        return pl.scaled_value(poly_from_sequence(s), n, d)
+
     while True:
         prec = d.bit_length() + L.bit_length() + _KL_GUARD
         one = 1 << prec
         s_lo, s_hi, t_lo, t_hi = _kl_enclosure(L, n, d, prec)
-        if s_lo > one:
+        if s_lo > one or s_hi > one and poly_at_q((0,)) < 0:
             return 1, L
-        # n^L S, computed only for a comparison the filter leaves open
-        exact = None
-        if s_hi > one:
-            exact = d * pl.scaled_value(thue_morse_prefix(L)[::-1], n, d)
-            if exact > n ** L:
-                return 1, L
-        if s_hi + t_hi < one:
+        if s_hi + t_hi < one or s_lo + t_lo < one and poly_at_q((1,)) > 0:
             return -1, L
-        if s_lo + t_lo < one:
-            if exact is None:
-                exact = d * pl.scaled_value(thue_morse_prefix(L)[::-1], n, d)
-            if (n - d) * exact + d ** (L + 1) < (n - d) * n ** L:
-                return -1, L
         L *= 2
 
 

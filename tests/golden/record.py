@@ -166,7 +166,7 @@ COMMANDS = README + [
     ["solve", "11011(011)"],
 ] + [
     # (2q - 3)(q - 5): the root 3/2 is the first midpoint of (1, 2), and
-    # only sign tests reach it, through the thin interval around it
+    # only sign tests reach it, where the memo keeps it as a point
     ["expand", "poly:15,-13,2 in (1,2)", "--depth", "12"],
     ["expand", "poly:15,-13,2 in (1,2)", "--mode", "quasi", "--depth", "12"],
     ["oracle", "poly:15,-13,2 in (1,2)", "--depth", "8", "--counts"],

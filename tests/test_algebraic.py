@@ -472,9 +472,15 @@ def test_dyadic_root_keeps_the_thin_bisection_interval():
     assert r == _bisection_refine(a, F(1, 2 ** 20))
 
 
+def _point(box):
+    """The rational root a point box holds; None for a cell."""
+    return F(box.lo, box.den) if box.lo == box.hi else None
+
+
 def test_a_root_found_at_a_grid_point_ends_the_qir_steps(monkeypatch):
     """(x - p)(x + 5) with p = 1 + 683/1024: once a QIR step evaluates at
-    p, the call goes on by bisection alone."""
+    p, the memo box is that point, and no step follows, in this call or
+    the next."""
     steps = []
     real = algebraic._qir
     monkeypatch.setattr(algebraic, "_qir",
@@ -484,7 +490,14 @@ def test_a_root_found_at_a_grid_point_ends_the_qir_steps(monkeypatch):
     algebraic._REFINED.clear()
     eps = F(1, 2 ** 40)
     assert refine(a, eps) == _bisection_refine(a, eps)
-    assert 0 in steps and steps.index(0) == len(steps) - 1
+    assert _point(algebraic._REFINED[a]) == p
+    # the step that found p was the last, and the only one to find a point
+    points = [box for box in steps if box and _point(box) is not None]
+    assert points == [steps[-1]] == [algebraic._REFINED[a]]
+    steps.clear()
+    for eps in (F(1, 2 ** 41), F(1, 2 ** 300), F(1, 4)):
+        assert refine(a, eps) == _bisection_refine(a, eps)
+    assert steps == []
 
 
 def test_refine_reads_a_cell_that_sign_at_left_without_new_sign_tests(
@@ -512,26 +525,31 @@ def test_refine_reads_a_cell_that_sign_at_left_without_new_sign_tests(
 def test_a_root_found_by_sign_at_stops_the_qir_steps_of_the_next_call(
         monkeypatch):
     """(2q - 3)(q - 5): the first QIR step evaluates its root 3/2, and the
-    memo box keeps nq = 0, so a second sign test only bisects."""
-    steps = []
+    memo box is that point, where the enclosure is exact: later sign tests
+    take no step and no zero test."""
+    steps, gcd_calls = [], []
     real = algebraic._qir
     monkeypatch.setattr(algebraic, "_qir",
                         lambda box: steps.append(real(box)) or steps[-1])
+    real_gcd = pl.poly_gcd
+    monkeypatch.setattr(pl, "poly_gcd",
+                        lambda f, g: gcd_calls.append(g) or real_gcd(f, g))
     a = algebraic_real((15, -13, 2), 1, 2)
     algebraic._REFINED.clear()
     assert sign_at((-3, 2), a) == 0
-    assert 0 in steps
-    assert algebraic._REFINED[a].nq == 0
+    assert steps == [algebraic._REFINED[a]]
+    assert _point(algebraic._REFINED[a]) == F(3, 2)
     steps.clear()
     assert sign_at((-9, 0, 4), a) == 0
     assert sign_at((-7, 4), a) == -1
-    assert steps == []
+    assert sign_at((-3 ** 11,) + (0,) * 10 + (2 ** 11,), a) == 0
+    assert steps == [] and gcd_calls == []
 
 
-def test_a_midpoint_root_found_by_bisection_marks_its_thin_box(monkeypatch):
+def test_a_midpoint_root_found_by_bisection_is_kept_as_a_point(monkeypatch):
     """(2x - 3) x^4 on (1, 2): the first secant misses, the bisection that
-    follows evaluates the root 3/2 at its midpoint, and the thin interval
-    it keeps around the root carries nq = 0, so no QIR step follows."""
+    follows evaluates the root 3/2 at its midpoint, and the memo box is
+    that point, so no QIR step follows."""
     steps = []
     real = algebraic._qir
     monkeypatch.setattr(algebraic, "_qir",
@@ -541,7 +559,9 @@ def test_a_midpoint_root_found_by_bisection_marks_its_thin_box(monkeypatch):
     eps = F(1, 2 ** 40)
     assert refine(a, eps) == _bisection_refine(a, eps)
     assert steps == [None]
-    assert algebraic._REFINED[a].nq == 0
+    assert _point(algebraic._REFINED[a]) == F(3, 2)
+    assert refine(a, eps / 5) == _bisection_refine(a, eps / 5)
+    assert steps == [None]
 
 
 @pytest.mark.parametrize("p, lo, hi", REFINE_CASES + [(TRIB, 1, 2)])
@@ -563,14 +583,24 @@ def test_refine_after_any_history_equals_a_fresh_bisection(p, lo, hi):
 
 
 def test_refine_answers_from_the_memo_without_new_sign_tests(monkeypatch):
+    """Coarser widths at a root refined deep, and a repeated width at the
+    dyadic root 3/2 of (2q - 3)(q - 5), which the memo keeps as a point:
+    no evaluation, and a cold call at the point makes a handful."""
     a = solve_base(ep_sequence((), (1, 1, 0)))
+    b = algebraic_real((15, -13, 2), 1, 2)
+    eps = F(1, 2 ** 1000)
+    expected = _bisection_refine(b, eps)
     algebraic._REFINED.clear()
     deep = refine(a, F(1, 2 ** 300))
     calls = []
     real = pl.scaled_value
     monkeypatch.setattr(pl, "scaled_value",
                         lambda *args: calls.append(args) or real(*args))
-    for b in (290, 100, 5):
-        r = refine(a, F(1, 2 ** b))
+    assert refine(b, eps) == expected
+    assert len(calls) <= 10
+    calls.clear()
+    for k in (290, 100, 5):
+        r = refine(a, F(1, 2 ** k))
         assert r.lo <= deep.lo and deep.hi <= r.hi
+    assert refine(b, eps) == expected
     assert calls == []

@@ -168,7 +168,10 @@ def test_usage_errors_print_one_line_in_a_fresh_process():
             (("nosuch",), "No such command 'nosuch'."),
             (("expand", "-1"), "No such option '-1'."),
             (("kl", "--eps"), "Option '--eps' requires an argument."),
-            (("expand",), "Missing argument 'BASE'.")):
+            (("expand",), "Missing argument 'BASE'."),
+            # raised while the group parses its own options
+            (("--bogus",), "No such option '--bogus'."),
+            (("--json", "expand", "2"), "No such option '--json'.")):
         proc = _fresh_cli(*argv)
         assert proc.returncode == 2, argv
         assert proc.stdout == ""
@@ -180,6 +183,9 @@ def test_a_bare_command_prints_its_help():
     assert proc.returncode in (0, 2)
     assert "Usage:" in proc.stdout + proc.stderr
     assert "Commands:" in proc.stdout + proc.stderr
+    proc = _fresh_cli("--help")
+    assert proc.returncode == 0
+    assert "Usage:" in proc.stdout and "Commands:" in proc.stdout
 
 
 def test_oracle_depth_zero_is_a_usage_error():

@@ -160,10 +160,12 @@ rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 6))
 
 
 def _sign_after_zero_test(c, a) -> int:
-    """sign_at(c, a) with the enclosure held undecided until the exact zero
-    test has run, so that every c reaches it.  A zero the test misses
-    fails after 200 more enclosures instead of bisecting forever; a
-    nonzero value took at most 3 in 2,766 random cases."""
+    """sign_at(c, a) with the enclosure held undecided until an exact path
+    has run, so that every c reaches one: the exact zero test, or a step
+    that ends on the root as a point, where the enclosure is the exact
+    value.  A zero the test misses fails after 200 more enclosures instead
+    of bisecting forever; a nonzero value took at most 3 in 2,766 random
+    cases."""
     tested, after = [], []
     real_gcd, real_filter = pl.poly_gcd, algebraic._filter
 
@@ -173,6 +175,9 @@ def _sign_after_zero_test(c, a) -> int:
         return real_gcd(u, v)
 
     def enclosure(*box):
+        _, lo, hi, _ = box
+        if lo == hi:
+            tested.append(1)
         if not tested:
             return 0
         after.append(1)
@@ -209,7 +214,8 @@ def test_sign_at_and_the_cap_match_sympy(p, h, e):
     e = 2 puts the root into gcd(p, c) with even multiplicity, which must
     still give 0; a factor without it leaves a gcd whose roots all lie
     outside the interval, which must give a nonzero sign.  Every case
-    reaches the exact zero test."""
+    reaches the exact zero test or a step that ends on the root as a
+    point."""
     roots = _isolating_intervals(p)
     assume(roots)
     factors = [f for f, _ in _zz(p).factor_list()[1]]
