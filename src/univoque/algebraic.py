@@ -23,19 +23,24 @@ found, or, once the root is a point, that ancestor or the thin interval
 bisection keeps around a midpoint root, in closed form.  The polynomial
 stepped on is the defining one when it changes sign strictly over the
 isolating interval (a root of odd multiplicity); only a root of even
-multiplicity needs the square-free part.
+multiplicity needs the square-free part.  An interval over which not
+even the square-free part changes sign strictly, as when a root sits at
+an end, cannot be narrowed to its root: `_box` refuses it, so `refine`
+and `sign_at` raise there instead of answering for another root.
 
 The sign of an integer polynomial c at the root is decided in three
 stages, cheapest first.  An interval enclosure of c over the isolating
-interval decides it whenever the enclosure excludes 0, and at a point it
-is exact, 0 included.  Otherwise the interval is narrowed by one step and
-the enclosure is tried again.  Once the interval is narrower than a width
-tied to the bit size of c and the enclosure still contains 0, one exact
-zero test settles whether c vanishes at the root: the square-free part of
-gcd(a.poly, c) changes sign over the interval.
+interval decides it whenever the enclosure excludes 0; at a point, one
+evaluation of c gives the exact sign, 0 included.  Otherwise the
+interval is narrowed by one step and the enclosure is tried again.  Once
+the interval is narrower than a width tied to the bit size of c and the
+enclosure still contains 0, one exact zero test settles whether c
+vanishes at the root: the square-free part of gcd(a.poly, c) changes
+sign over the interval.
 
-One bounded memo keeps the tightest interval found for each root, a cell
-or a point, with the polynomial's values at its ends and its nq.
+One bounded memo, `_REFINED`, keeps the tightest interval found for each
+root, a cell or a point, with the polynomial's values at its ends and its
+nq; it is the only cache in the exact core that outlives a call.
 `sign_at` and `refine` both start from it and leave their own tightest
 interval behind, so successive calls at one root share the work, and a
 dyadic root found by one call is known to the next; the memo never
@@ -135,14 +140,23 @@ def _box(a: AlgebraicReal) -> _Box:
     With one distinct root r inside, a.poly = (x - r)^k g with g of one
     sign on the closed interval, so a strict sign change means k is odd:
     a.poly then has the sign of (x - r) times a constant, like its
-    square-free part, and keeps the same halves.  No sign change (k even,
-    or a root at an endpoint) falls back to the square-free part."""
+    square-free part, and keeps the same halves.  No sign change (k even)
+    falls back to the square-free part, which changes sign strictly at r.
+    An interval where even that part has no strict sign change cannot be
+    narrowed to r, and is refused: with `EndpointRootError` when a.poly
+    vanishes at an end, and `DomainError` otherwise, when the interval
+    holds an even number of distinct roots."""
     lo, hi, den = _grid(a)
     f = a.poly
     vlo, vhi = pl.scaled_value(f, lo, den), pl.scaled_value(f, hi, den)
     if _sign(vlo) * _sign(vhi) >= 0:
         f = pl.squarefree_part(a.poly)
         vlo, vhi = pl.scaled_value(f, lo, den), pl.scaled_value(f, hi, den)
+        if vlo == 0 or vhi == 0:
+            raise EndpointRootError(
+                "interval endpoint is a root; perturb the endpoints")
+        if _sign(vlo) == _sign(vhi):
+            raise DomainError("no sign change over the isolating interval")
     return _Box(f, lo, hi, den, vlo, vhi)
 
 
@@ -269,7 +283,9 @@ def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
 
 def _filter(c: tuple, lo: int, hi: int, den: int) -> int:
     """Sign of c over all of [lo/den, hi/den] when an interval enclosure of
-    c there excludes 0; 0 when the enclosure is ambiguous.
+    c there excludes 0; 0 when the enclosure is ambiguous.  Meant for a
+    cell, lo < hi: at a point one evaluation of c gives the exact sign, so
+    `sign_at` never passes one here.
 
     For x >= 0 the positive and the negative coefficients of c each give a
     nondecreasing part, c = c+ - c-, so c(x) lies between c+(lo) - c-(hi)
@@ -304,8 +320,8 @@ def sign_at(c, a: AlgebraicReal) -> int:
     First an interval enclosure of c over the isolating interval decides
     the sign whenever it excludes 0.  While it does not, the interval is
     narrowed by one step (`_step`) and the enclosure tried again.  A step
-    may end on the root as a point, where the enclosure is the exact
-    value of c, so its sign, 0 included, is the answer.  Once
+    may end on the root as a point, where one evaluation of c is its
+    exact value, so its sign, 0 included, is the answer.  Once
     the interval is narrower than 2^-(b + 32), b the bit size of the
     largest coefficient of c, and the enclosure still contains 0, one
     exact zero test runs on h = squarefree_part(gcd(a.poly, c)).  The
@@ -317,7 +333,9 @@ def sign_at(c, a: AlgebraicReal) -> int:
 
     Each call starts from the tightest interval found for an equal
     AlgebraicReal and leaves its own tightest interval behind in a bounded
-    memo; a itself is never changed.
+    memo; a itself is never changed.  An interval that `_box` cannot
+    narrow to the root, such as one with a root of a.poly at an end,
+    raises `EndpointRootError` or `DomainError`.
     """
     c = pl.poly(c)
     if pl.is_zero(c):
@@ -328,9 +346,9 @@ def sign_at(c, a: AlgebraicReal) -> int:
     zero_test_bits = max(abs(x) for x in c).bit_length() + _ZERO_TEST_MARGIN
     tested = False
     try:
-        while True:
+        while box.lo != box.hi:
             s = _filter(c, box.lo, box.hi, box.den)
-            if s != 0 or box.lo == box.hi:
+            if s != 0:
                 return s
             if not tested and (box.hi - box.lo) << zero_test_bits <= box.den:
                 tested = True
@@ -339,5 +357,6 @@ def sign_at(c, a: AlgebraicReal) -> int:
                         * _sign(pl.scaled_value(h, box.hi, box.den)) < 0):
                     return 0
             box = _step(box)
+        return _sign(pl.scaled_value(c, box.lo, box.den))
     finally:
         _remember(a, box)

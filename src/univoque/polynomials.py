@@ -7,12 +7,12 @@ part and the Sturm chains.  It divides |lead(b)|^k a, a positive multiple
 of a, so its remainder is a positive multiple of the rational one; reduced
 to its primitive part, it keeps every sign and small coefficients.  Sign
 tests at a rational point n/d use d^deg * p(n/d), which has the sign of
-p(n/d).
+p(n/d).  Every function is pure and the module keeps no state: no cache
+outlives a call.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 
@@ -101,9 +101,6 @@ def poly_gcd(a: tuple, b: tuple) -> tuple:
     return g
 
 
-# Bounded: a long-lived process sees a new polynomial per base and per
-# zero test, and an unbounded cache would keep every one of them.
-@lru_cache(maxsize=256)
 def squarefree_part(p: tuple) -> tuple:
     """p divided by gcd(p, p'); shares exactly the distinct roots of p."""
     d = derivative(p)

@@ -73,6 +73,23 @@ def test_refine_examples():
     assert t.lo < F(18392868, 10000000) < t.hi
 
 
+@pytest.mark.parametrize("p, lo, hi, error", [
+    # x(x - 1): the root inside is 1, but even the square-free part
+    # vanishes at the end 0, so no step could narrow to 1
+    ((0, -1, 1), 0, F(3, 2), EndpointRootError),
+    # (x - 1)(x - 2): two roots inside, and no sign change between
+    ((2, -3, 1), 0, 3, DomainError),
+], ids=["root-at-an-end", "no-sign-change"])
+def test_an_interval_no_step_can_narrow_to_its_root_is_refused(p, lo, hi,
+                                                                error):
+    a = AlgebraicReal(p, F(lo), F(hi))
+    with pytest.raises(error):
+        refine(a, F(1, 2 ** 20))
+    with pytest.raises(error):
+        sign_at((-1, 2), a)
+    assert a not in algebraic._REFINED
+
+
 def test_refine_rejects_bad_eps():
     a = algebraic_real(GOLDEN, 1, 2)
     with pytest.raises(DomainError):
@@ -274,10 +291,6 @@ def test_scaled_value_matches_fraction_horner():
         n, d = rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)
         assert pl.scaled_value(p, n, d) == \
             d ** (len(p) - 1) * _horner(p, F(n, d))
-
-
-def test_polynomial_caches_are_bounded():
-    assert pl.squarefree_part.cache_info().maxsize is not None
 
 
 def _mul(p, q):
@@ -525,8 +538,10 @@ def test_refine_reads_a_cell_that_sign_at_left_without_new_sign_tests(
 def test_a_root_found_by_sign_at_stops_the_qir_steps_of_the_next_call(
         monkeypatch):
     """(2q - 3)(q - 5): the first QIR step evaluates its root 3/2, and the
-    memo box is that point, where the enclosure is exact: later sign tests
-    take no step and no zero test."""
+    memo box is that point, where one evaluation is exact: later sign
+    tests take no step and no zero test."""
+    # built first: its Sturm count takes a gcd that is not a zero test
+    a = algebraic_real((15, -13, 2), 1, 2)
     steps, gcd_calls = [], []
     real = algebraic._qir
     monkeypatch.setattr(algebraic, "_qir",
@@ -534,7 +549,6 @@ def test_a_root_found_by_sign_at_stops_the_qir_steps_of_the_next_call(
     real_gcd = pl.poly_gcd
     monkeypatch.setattr(pl, "poly_gcd",
                         lambda f, g: gcd_calls.append(g) or real_gcd(f, g))
-    a = algebraic_real((15, -13, 2), 1, 2)
     algebraic._REFINED.clear()
     assert sign_at((-3, 2), a) == 0
     assert steps == [algebraic._REFINED[a]]
@@ -544,6 +558,21 @@ def test_a_root_found_by_sign_at_stops_the_qir_steps_of_the_next_call(
     assert sign_at((-7, 4), a) == -1
     assert sign_at((-3 ** 11,) + (0,) * 10 + (2 ** 11,), a) == 0
     assert steps == [] and gcd_calls == []
+
+
+def test_a_sign_at_a_point_box_is_one_evaluation(monkeypatch):
+    """Once the memo holds the point 3/2 of (2q - 3)(q - 5), the sign of c
+    there is c's value at that point, not an enclosure of it."""
+    a = algebraic_real((15, -13, 2), 1, 2)
+    algebraic._REFINED.clear()
+    assert sign_at((-3, 2), a) == 0
+    assert _point(algebraic._REFINED[a]) == F(3, 2)
+    calls = []
+    real = pl.scaled_value
+    monkeypatch.setattr(pl, "scaled_value",
+                        lambda *args: calls.append(args) or real(*args))
+    assert sign_at((-7, 4), a) == -1
+    assert calls == [((-7, 4), 6, 4)]
 
 
 def test_a_midpoint_root_found_by_bisection_is_kept_as_a_point(monkeypatch):

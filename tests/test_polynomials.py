@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from univoque import algebraic, polynomials as pl
-from univoque.algebraic import AlgebraicReal, sign_at, sturm_count
+from univoque.algebraic import (AlgebraicReal, DomainError, EndpointRootError,
+                                refine, sign_at, sturm_count)
 from univoque.expansions import base_arithmetic
 
 sympy = pytest.importorskip("sympy")
@@ -156,18 +157,23 @@ def _frac(r) -> F:
     return F(int(r.p), int(r.q))
 
 
+def _q(x: F):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
 rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 6))
 
 
 def _sign_after_zero_test(c, a) -> int:
     """sign_at(c, a) with the enclosure held undecided until an exact path
     has run, so that every c reaches one: the exact zero test, or a step
-    that ends on the root as a point, where the enclosure is the exact
-    value.  A zero the test misses fails after 200 more enclosures instead
-    of bisecting forever; a nonzero value took at most 3 in 2,766 random
-    cases."""
+    that ends on the root as a point, where one evaluation of c is the
+    exact value.  A zero the test misses fails after 200 more enclosures
+    instead of bisecting forever; a nonzero value took at most 3 in 2,766
+    random cases."""
     tested, after = [], []
-    real_gcd, real_filter = pl.poly_gcd, algebraic._filter
+    real_gcd, real_filter, real_step = (pl.poly_gcd, algebraic._filter,
+                                        algebraic._step)
 
     def gcd(u, v):
         if v == c:
@@ -175,18 +181,22 @@ def _sign_after_zero_test(c, a) -> int:
         return real_gcd(u, v)
 
     def enclosure(*box):
-        _, lo, hi, _ = box
-        if lo == hi:
-            tested.append(1)
         if not tested:
             return 0
         after.append(1)
         assert len(after) < 200, "no sign after the zero test"
         return real_filter(*box)
 
+    def step(box):
+        box = real_step(box)
+        if box.lo == box.hi:
+            tested.append(1)
+        return box
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pl, "poly_gcd", gcd)
         mp.setattr(algebraic, "_filter", enclosure)
+        mp.setattr(algebraic, "_step", step)
         algebraic._REFINED.clear()
         s = sign_at(c, a)
     assert tested
@@ -236,3 +246,54 @@ def test_sign_at_and_the_cap_match_sympy(p, h, e):
         assert (b.cap, b.sign(b.minus(q, b.cap)) == 0) == (t, exact)
         if t >= 0:
             assert b.floor(q) == (t, exact)
+
+
+# --- hand-built intervals with a root at an end ------------------------------
+
+@st.composite
+def end_root_intervals(draw):
+    """(p, lo, hi): p = (x - r)^k g with the root r at one end of (lo, hi),
+    and any number of g's roots inside."""
+    r, width = draw(rationals), draw(rationals.filter(lambda w: w > 0))
+    p = draw(small)
+    for _ in range(draw(st.integers(1, 3))):
+        p = _mul(p, (-r.numerator, r.denominator))
+    return (p, r, r + width) if draw(st.booleans()) else (p, r - width, r)
+
+
+def _in_open(f, u, v, lo, hi) -> bool:
+    """Whether the root of the irreducible f in sympy's isolating interval
+    (u, v) lies in (lo, hi).  A root of degree >= 2 is irrational, so
+    refining moves lo and hi out of (u, v)."""
+    if f.degree() == 1:
+        return lo < -f.nth(0) / f.nth(1) < hi
+    u, v = _refined(u, v, f, lambda u, v: not (u < lo < v or u < hi < v))
+    return lo <= u and v <= hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(end_root_intervals(), small, st.integers(1, 40))
+def test_a_root_at_an_end_is_refused_or_the_true_root_answered(case, c,
+                                                                bits):
+    """sign_at and refine on a hand-built interval with a root at an end
+    either raise or answer for the one distinct root inside: the sign of c
+    there, and an interval around it, both by sympy."""
+    p, lo, hi = case
+    a = AlgebraicReal(p, lo, hi)
+    inside = [(u, v, f) for f, _ in _zz(p).factor_list()[1]
+              for (u, v), _ in f.intervals()
+              if _in_open(f, u, v, _q(lo), _q(hi))]
+    try:
+        s = sign_at(c, a)
+    except (EndpointRootError, DomainError):
+        pass
+    else:
+        (u, v, f), = inside
+        assert s == _sign_by_sympy(c, u, v, f)
+    try:
+        b = refine(a, (hi - lo) / 2 ** bits)
+    except (EndpointRootError, DomainError):
+        pass
+    else:
+        (u, v, f), = inside
+        assert _in_open(f, u, v, _q(b.lo), _q(b.hi))
