@@ -23,28 +23,42 @@ found, or, once the root is a point, that ancestor or the thin interval
 bisection keeps around a midpoint root, in closed form.  The polynomial
 stepped on is the defining one when it changes sign strictly over the
 isolating interval (a root of odd multiplicity); only a root of even
-multiplicity needs the square-free part.  An interval over which not
-even the square-free part changes sign strictly, as when a root sits at
-an end, cannot be narrowed to its root: `_box` refuses it, so `refine`
-and `sign_at` raise there instead of answering for another root.
+multiplicity needs the square-free part.  Once a zero test has found a
+factor that vanishes at the root, the steps go on with that factor.
+Which polynomial is stepped on changes only the cells a step visits,
+never the root they hold or an answer.  An interval over which not even the
+square-free part changes sign strictly, as when a root sits at an end,
+cannot be narrowed to its root: `_box` refuses it, so `refine` and
+`sign_at` raise there instead of answering for another root.
 
 The sign of an integer polynomial c at the root is decided in three
-stages, cheapest first.  An interval enclosure of c over the isolating
-interval decides it whenever the enclosure excludes 0; at a point, one
-evaluation of c gives the exact sign, 0 included.  Otherwise the
-interval is narrowed by one step and the enclosure is tried again.  Once
-the interval is narrower than a width tied to the bit size of c and the
-enclosure still contains 0, one exact zero test settles whether c
-vanishes at the root: the square-free part of gcd(a.poly, c) changes
-sign over the interval.
+stages, cheapest first.
+1. An interval enclosure of c over the isolating interval (`_enclose`)
+   decides it whenever the enclosure excludes 0.  At a point, one
+   evaluation of c gives the exact sign, 0 included.  Otherwise the
+   interval is narrowed by one step and the enclosure is tried again.
+2. Once the interval is narrower than a width tied to the bit size of c
+   and the enclosure still contains 0, one exact zero test settles
+   whether c vanishes at the root.  It answers 0 at once when the
+   polynomial f that the box steps on divides c.  Otherwise it answers 0
+   when h, the square-free part of gcd(f, c), changes sign over the
+   interval, and h becomes the box's f, so a later zero test at that root
+   of a c that h divides needs one division and no gcd.
+3. When the zero test finds no zero, the steps go on until the enclosure
+   excludes 0.
+`enclosure` is stage 1 alone, over the memo's interval and without a
+step: bounds A/s <= c(r) <= B/s that `expansions` reads each digit off,
+taking sign tests only where the bounds leave a candidate digit open.
 
 One bounded memo, `_REFINED`, keeps the tightest interval found for each
-root, a cell or a point, with the polynomial's values at its ends and its
-nq; it is the only cache in the exact core that outlives a call.
-`sign_at` and `refine` both start from it and leave their own tightest
-interval behind, so successive calls at one root share the work, and a
-dyadic root found by one call is known to the next; the memo never
-changes an AlgebraicReal or a result.
+root, a cell or a point, with the polynomial stepped on, its values at
+the interval's ends and its nq; it is the only cache in the exact core
+that outlives a call.  `sign_at` and `refine` both start from it and
+leave their own tightest interval behind, so successive calls at one
+root share the work, and a dyadic root or a vanishing factor found by
+one call is known to the next; the memo never changes an AlgebraicReal
+or a result.  An AlgebraicReal hashes its fields once, as every memo
+lookup hashes it.
 """
 
 from __future__ import annotations
@@ -52,6 +66,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
@@ -100,6 +115,14 @@ class AlgebraicReal:
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.poly, self.lo, self.hi))
+
+    def __hash__(self) -> int:
+        # the dataclass hash, taken once: every memo lookup hashes a
+        return self._hash
+
 
 def algebraic_real(poly_coeffs, lo, hi) -> AlgebraicReal:
     """The root of poly_coeffs in (lo, hi), certified by a Sturm count."""
@@ -111,11 +134,12 @@ def algebraic_real(poly_coeffs, lo, hi) -> AlgebraicReal:
 
 class _Box(NamedTuple):
     """An isolating interval (lo/den, hi/den) in integer form, with f a
-    polynomial that changes sign at the root, vlo and vhi its values
-    den^deg f at lo/den and hi/den, and nq the number of subcells the next
-    QIR step splits the interval into.  A cell has lo < hi and vlo, vhi of
-    opposite signs; lo == hi is a point, the exact root, where vlo = vhi =
-    0 and no step applies."""
+    polynomial that changes sign at the root (a.poly, its square-free
+    part, or the vanishing factor a zero test found), vlo and vhi its
+    values den^deg f at lo/den and hi/den, and nq the number of subcells
+    the next QIR step splits the interval into.  A cell has lo < hi and
+    vlo, vhi of opposite signs; lo == hi is a point, the exact root, where
+    vlo = vhi = 0 and no step applies."""
 
     f: tuple
     lo: int
@@ -145,7 +169,9 @@ def _box(a: AlgebraicReal) -> _Box:
     An interval where even that part has no strict sign change cannot be
     narrowed to r, and is refused: with `EndpointRootError` when a.poly
     vanishes at an end, and `DomainError` otherwise, when the interval
-    holds an even number of distinct roots."""
+    holds an even number of distinct roots.  This is the box a root starts
+    from when the memo holds none; a zero test in `sign_at` may later
+    replace its f by a factor that vanishes at r."""
     lo, hi, den = _grid(a)
     f = a.poly
     vlo, vhi = pl.scaled_value(f, lo, den), pl.scaled_value(f, hi, den)
@@ -281,11 +307,10 @@ def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
                          Fraction(lo + w, den0 << t))
 
 
-def _filter(c: tuple, lo: int, hi: int, den: int) -> int:
-    """Sign of c over all of [lo/den, hi/den] when an interval enclosure of
-    c there excludes 0; 0 when the enclosure is ambiguous.  Meant for a
-    cell, lo < hi: at a point one evaluation of c gives the exact sign, so
-    `sign_at` never passes one here.
+def _enclose(c: tuple, lo: int, hi: int, den: int) -> tuple:
+    """(A, B) with A <= den^k c(x) <= B for every x in [lo/den, hi/den],
+    k = len(c) - 1: an interval enclosure of c, one evaluation per end of
+    each of two parts.  At a point, lo == hi, A = B is the exact value.
 
     For x >= 0 the positive and the negative coefficients of c each give a
     nondecreasing part, c = c+ - c-, so c(x) lies between c+(lo) - c-(hi)
@@ -294,19 +319,52 @@ def _filter(c: tuple, lo: int, hi: int, den: int) -> int:
     if lo < 0:
         mirrored = tuple(-x if i % 2 else x for i, x in enumerate(c))
         if hi <= 0:
-            return _filter(mirrored, -hi, -lo, den)
-        s = _filter(c, 0, hi, den)
-        return s if s == _filter(mirrored, 0, -lo, den) else 0
-    pos = tuple(x if x > 0 else 0 for x in c)
-    neg = tuple(-x if x < 0 else 0 for x in c)
-    pos_lo = pl.scaled_value(pos, lo, den)
-    neg_lo = pl.scaled_value(neg, lo, den)
-    # the sign of c(lo) says which end of the enclosure can pass 0
-    if pos_lo > neg_lo and pos_lo > pl.scaled_value(neg, hi, den):
-        return 1
-    if pos_lo < neg_lo and pl.scaled_value(pos, hi, den) < neg_lo:
-        return -1
-    return 0
+            return _enclose(mirrored, -hi, -lo, den)
+        a1, b1 = _enclose(mirrored, 0, -lo, den)
+        a2, b2 = _enclose(c, 0, hi, den)
+        return min(a1, a2), max(b1, b2)
+    # c+ and c- at both ends in one pass of Horner's rule, homogenized as
+    # in `polynomials.scaled_value`
+    pos_lo = neg_lo = pos_hi = neg_hi = 0
+    dk = 1
+    for x in reversed(c):
+        pos_lo *= lo
+        neg_lo *= lo
+        pos_hi *= hi
+        neg_hi *= hi
+        if x > 0:
+            pos_lo += x * dk
+            pos_hi += x * dk
+        elif x < 0:
+            neg_lo -= x * dk
+            neg_hi -= x * dk
+        dk *= den
+    return pos_lo - neg_hi, pos_hi - neg_lo
+
+
+def _filter(c: tuple, lo: int, hi: int, den: int) -> int:
+    """Sign of c over all of [lo/den, hi/den] when its enclosure
+    (`_enclose`) excludes 0; 0 when the enclosure is ambiguous.  Meant for
+    a cell, lo < hi: at a point one evaluation of c gives the exact sign,
+    so `sign_at` never passes one here."""
+    low, high = _enclose(c, lo, hi, den)
+    return 1 if low > 0 else -1 if high < 0 else 0
+
+
+def enclosure(c: tuple, a: AlgebraicReal) -> tuple:
+    """(A, B, s), integers with s > 0 and A/s <= c(r) <= B/s at the root r
+    of a, for an integer polynomial c given as a tuple, constant first.
+
+    The enclosure is `_enclose` over the memo's box for a, or over a's own
+    interval when the memo holds none: no step and no sign test, and the
+    memo is left as it is.  At a point box A == B, and A/s is c(r); so is
+    the enclosure of a constant c, read at any root without the memo."""
+    if len(c) <= 1:
+        v = c[0] if c else 0
+        return v, v, 1
+    box = _REFINED.get(a)
+    lo, hi, den = (box.lo, box.hi, box.den) if box else _grid(a)
+    return _enclose(c, lo, hi, den) + (den ** (len(c) - 1),)
 
 
 # Margin, in bits, past the bit size of c before the zero test runs: a
@@ -324,12 +382,15 @@ def sign_at(c, a: AlgebraicReal) -> int:
     exact value, so its sign, 0 included, is the answer.  Once
     the interval is narrower than 2^-(b + 32), b the bit size of the
     largest coefficient of c, and the enclosure still contains 0, one
-    exact zero test runs on h = squarefree_part(gcd(a.poly, c)).  The
-    interval isolates one distinct root of a.poly and h divides a.poly,
-    so a root of h inside it is that root, simple in h: c vanishes at the
-    root exactly when h changes sign strictly over the interval.  If it
-    does not, stepping goes on until the enclosure excludes 0, which it
-    does once the interval is narrow enough.
+    exact zero test runs, on the polynomial f that the box steps on: a
+    factor of a.poly with the root.  When f divides c, c vanishes at the
+    root.  Otherwise h = squarefree_part(gcd(f, c)) divides a.poly and
+    the interval isolates one distinct root of a.poly, so a root of h
+    inside it is that root, simple in h: c vanishes at the root exactly
+    when h changes sign strictly over the interval.  Then h is kept as the
+    box's f, so a later c that h divides is a zero at one division.  If h
+    does not change sign, stepping goes on until the enclosure excludes 0,
+    which it does once the interval is narrow enough.
 
     Each call starts from the tightest interval found for an equal
     AlgebraicReal and leaves its own tightest interval behind in a bounded
@@ -352,9 +413,13 @@ def sign_at(c, a: AlgebraicReal) -> int:
                 return s
             if not tested and (box.hi - box.lo) << zero_test_bits <= box.den:
                 tested = True
-                h = pl.squarefree_part(pl.poly_gcd(a.poly, c))
-                if (_sign(pl.scaled_value(h, box.lo, box.den))
-                        * _sign(pl.scaled_value(h, box.hi, box.den)) < 0):
+                if pl.divides(box.f, c):
+                    return 0
+                h = pl.squarefree_part(pl.poly_gcd(box.f, c))
+                vlo = pl.scaled_value(h, box.lo, box.den)
+                vhi = pl.scaled_value(h, box.hi, box.den)
+                if _sign(vlo) * _sign(vhi) < 0:
+                    box = box._replace(f=h, vlo=vlo, vhi=vhi)
                     return 0
             box = _step(box)
         return _sign(pl.scaled_value(c, box.lo, box.den))

@@ -3,12 +3,12 @@
 Polynomials are tuples of arbitrary-precision integers, constant term
 first.  The zero polynomial is the empty tuple.  Everything stays in the
 integers.  One pseudo-division (`_divmod`) serves the gcd, the square-free
-part and the Sturm chains.  It divides |lead(b)|^k a, a positive multiple
-of a, so its remainder is a positive multiple of the rational one; reduced
-to its primitive part, it keeps every sign and small coefficients.  Sign
-tests at a rational point n/d use d^deg * p(n/d), which has the sign of
-p(n/d).  Every function is pure and the module keeps no state: no cache
-outlives a call.
+part, the divisibility test and the Sturm chains.  It divides
+|lead(b)|^k a, a positive multiple of a, so its remainder is a positive
+multiple of the rational one; reduced to its primitive part, it keeps
+every sign and small coefficients.  Sign tests at a rational point n/d
+use d^deg * p(n/d), which has the sign of p(n/d).  Every function is pure
+and the module keeps no state: no cache outlives a call.
 """
 
 from __future__ import annotations
@@ -79,6 +79,12 @@ def _divmod(a, b) -> tuple:
     while a and a[-1] == 0:
         a.pop()
     return quo, a
+
+
+def divides(b: tuple, a: tuple) -> bool:
+    """Whether b != 0 divides a over the rationals: the pseudo-remainder of
+    a by b is zero."""
+    return not _divmod(a, b)[1]
 
 
 def primitive(c) -> tuple:

@@ -633,3 +633,56 @@ def test_refine_answers_from_the_memo_without_new_sign_tests(monkeypatch):
         assert r.lo <= deep.lo and deep.hi <= r.hi
     assert refine(b, eps) == expected
     assert calls == []
+
+
+# --- the enclosure without narrowing, and the memo's keys -------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([GOLDEN, TRIB, (15, -13, 2), (-2, 0, 1)]),
+       st.lists(st.integers(-30, 30), max_size=5).map(pl.poly),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(pl.poly))
+def test_enclosure_holds_the_value_and_leaves_the_memo(p, c, first):
+    """A/s <= c(r) <= B/s by exact sign tests, from a's own interval and
+    from the memo's box after a sign test narrowed it; the enclosure takes
+    no step, and at the point box of (2q - 3)(q - 5) it is c's value."""
+    a = algebraic_real(p, 1, 2)
+    algebraic._REFINED.clear()
+    for _ in range(2):
+        box = algebraic._REFINED.get(a)
+        low, high, s = algebraic.enclosure(c, a)
+        assert algebraic._REFINED.get(a) == box
+        assert s > 0 and low <= high
+        scaled = tuple(s * x for x in c) or (0,)
+        assert sign_at((scaled[0] - low,) + scaled[1:], a) >= 0
+        assert sign_at((high - scaled[0],) + tuple(-x for x in scaled[1:]),
+                       a) >= 0
+        if box is not None and box.lo == box.hi:
+            assert low == high
+        sign_at(first, a)
+
+
+def test_equal_algebraic_reals_share_one_memo_entry():
+    a = AlgebraicReal(TRIB, F(1), F(2))
+    b = AlgebraicReal(TRIB, 1, 2)
+    assert a is not b and a == b
+    algebraic._REFINED.clear()
+    sign_at((-7, 4), a)
+    sign_at((-9, 5), b)
+    assert list(algebraic._REFINED) == [a]
+    assert algebraic._REFINED[b] is algebraic._REFINED[a]
+
+
+def test_an_algebraic_real_hashes_its_fractions_once(monkeypatch):
+    """The hash is the dataclass one, over (poly, lo, hi), taken once per
+    object: later memo lookups hash no Fraction."""
+    want = hash((GOLDEN, F(1), F(2)))
+    calls = []
+    real = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda x: calls.append(x) or real(x))
+    a = AlgebraicReal(GOLDEN, F(1), F(2))
+    algebraic._REFINED.clear()
+    for c in ((-3, 2), (-5, 3), (-8, 5), (-13, 8)):
+        sign_at(c, a)
+        algebraic.enclosure(c, a)
+    assert hash(a) == want
+    assert calls == [F(1), F(2)]

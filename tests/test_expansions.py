@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
-from univoque import expansions
+from univoque import algebraic, expansions
 from univoque import polynomials as pl
 from univoque.algebraic import (AlgebraicReal, DomainError, algebraic_real,
                                 refine, sign_at)
@@ -432,10 +432,24 @@ def test_solve_base_refuses_a_polynomial_without_its_sign_change(
 
 
 def test_algebraic_expansion_refuses_a_digit_above_the_cap(monkeypatch):
+    """A sign test that always answers +1, under an enclosure that leaves
+    every candidate open, and an enclosure that puts a residual far above
+    the cap: either way the digit loop refuses the digit."""
     base = solve_base(ep_sequence((1, 1), (0,)))
-    monkeypatch.setattr(expansions, "sign_at", lambda c, a: 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(expansions, "sign_at", lambda c, a: 1)
+        mp.setattr(expansions, "enclosure", _no_enclosure)
+        with pytest.raises(RuntimeError, match="exceeds the cap"):
+            greedy_expansion(base, 5)
+    monkeypatch.setattr(expansions, "enclosure", lambda c, a: (99, 99, 1))
     with pytest.raises(RuntimeError, match="exceeds the cap"):
         greedy_expansion(base, 5)
+
+
+def _no_enclosure(c, a):
+    """An enclosure that says nothing: every candidate of a floor stays
+    open, so the floor is the bisection by sign tests alone."""
+    return -(1 << 64), 1 << 64, 1
 
 
 # --- the residual arithmetic against the Fraction reference -----------------
@@ -535,3 +549,126 @@ def test_rational_residuals_match_the_fraction_reference(a, b, strict):
         # is a constant over b^i
         (num,), den = r
         assert den == q.denominator ** i and F(num, den) == want
+
+
+# --- the floor: one enclosure, sign tests only for what it leaves open -------
+
+
+def _floor_reference(x: F, cap: int) -> tuple:
+    """(t, x == t) for t = floor(x) over the candidates 0..cap + 1: a value
+    at or above cap + 2 gives (cap + 1, False), the digit the loop
+    refuses."""
+    t = min(x.numerator // x.denominator, cap + 1)
+    return t, x == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 60), st.integers(0, 3),
+       st.data())
+def test_floor_and_cap_match_the_fraction_reference(p, q, k, data):
+    """At a rational base p/q: cap, the floor of q itself, and the floor of
+    a residual over q^k, drawn as an exact integer or as any value up to
+    cap + 4, against Fraction floors; and the same by the bisection alone,
+    with an enclosure that says nothing."""
+    v = F(p, q)
+    cap = p // q
+    den = q ** k
+    if data.draw(st.booleans()):
+        num = data.draw(st.integers(0, cap + 4)) * den
+    else:
+        num = data.draw(st.integers(0, (cap + 4) * den))
+    x = F(num, den)
+    for enclosure in (algebraic.enclosure, _no_enclosure):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expansions, "enclosure", enclosure)
+            b = expansions.base_arithmetic(v)
+            assert b.cap == cap
+            assert b.floor(b.times_q(b.root())) == (cap, v == cap)
+            t, exact = b.floor(((num,), den))
+        assert (t, exact) == _floor_reference(x, cap)
+        if x >= cap + 2:
+            assert t > b.cap
+
+
+@st.composite
+def _greedy_words(draw):
+    """A word w with w 0^inf a greedy expansion of 1 (digit sum >= 2)."""
+    w = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=6)))
+    assume(sum(w) >= 2 and w[-1] >= 1)
+    assume(check_greedy_admissible(ep_sequence(w, (0,)))[0])
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(_greedy_words(), st.booleans())
+def test_floor_matches_the_bisection_alone_at_seq_bases(w, strict):
+    """At the base of w 0^inf, greedy and quasi-greedy: the digits, the
+    cap and every floor the digit loop takes, exact residuals included,
+    are those of the bisection by sign tests alone."""
+    a = solve_base(ep_sequence(w, (0,)))
+    n = 3 * len(w) + 3
+    expand = quasi_greedy_expansion if strict else greedy_expansion
+    floors = []
+    real = expansions.AlgebraicBase.floor
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansions.AlgebraicBase, "floor",
+                   lambda b, x: floors.append((x, real(b, x))) or
+                   floors[-1][1])
+        digits = expand(a, n).digits
+    if not strict:
+        assert digits == (w + (0,) * n)[:n]
+    assert any(exact for _, (_, exact) in floors)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansions, "enclosure", _no_enclosure)
+        b = expansions.AlgebraicBase(a)
+        assert b.cap == w[0]
+        assert [b.floor(x) for x, _ in floors] == [t for _, t in floors]
+        assert expand(a, n).digits == digits
+
+
+def test_a_rational_base_takes_no_sign_test_per_digit(monkeypatch):
+    """Each digit at a rational base is one floor division: the q - 1 test
+    is the only sign test of an expansion."""
+    calls = []
+    real = expansions.sign_at
+    monkeypatch.setattr(expansions, "sign_at",
+                        lambda c, a: calls.append(c) or real(c, a))
+    for q in (F(151, 100), F(3), F(7, 2)):
+        for expand in (greedy_expansion, quasi_greedy_expansion):
+            calls.clear()
+            assert len(expand(q, 60).digits) == 60
+            assert len(calls) == 1
+
+
+def test_a_repeated_exact_zero_takes_one_gcd(monkeypatch):
+    """At seq:21(0), q = 1 + sqrt 2 is a root of (q - 1)(q^2 - 2q - 1), and
+    the quasi-greedy expansion (2 0)^inf meets a residual that vanishes at
+    q every second digit.  Only the first zero test takes gcds; it keeps
+    the vanishing factor as the box's polynomial, which divides every
+    later such residual."""
+    a = solve_base(ep_sequence((2, 1), (0,)))
+    events = []
+    real_gcd, real_divides = pl.poly_gcd, pl.divides
+    monkeypatch.setattr(pl, "poly_gcd", lambda f, g: events.append("gcd")
+                        or real_gcd(f, g))
+    monkeypatch.setattr(pl, "divides", lambda f, g: events.append("zero")
+                        or real_divides(f, g))
+    algebraic._REFINED.clear()
+    assert quasi_greedy_expansion(a, 30).digits == (2, 0) * 15
+    tests = [i for i, e in enumerate(events) if e == "zero"]
+    gcds = [i for i, e in enumerate(events) if e == "gcd"]
+    assert len(tests) >= 10 and gcds
+    assert all(tests[0] < i < tests[1] for i in gcds)
+    assert algebraic._REFINED[a].f == (-1, -2, 1)
+
+
+def test_an_exact_integer_that_the_enclosure_leaves_open_takes_a_sign_test(
+        monkeypatch):
+    """At seq:21(0), n = k + q^2 - 2q - 1 is the integer k at q, but no
+    enclosure over a cell is a point, so a sign test says x == k.  At k = 0
+    the enclosure reaches below 0 and the candidates are clipped to 0."""
+    b = expansions.base_arithmetic(ep_sequence((2, 1), (0,)))
+    want = [(k, True) for k in range(4)]
+    assert [b.floor(((k - 1, -2, 1), 1)) for k in range(4)] == want
+    monkeypatch.setattr(expansions, "enclosure", _no_enclosure)
+    assert [b.floor(((k - 1, -2, 1), 1)) for k in range(4)] == want

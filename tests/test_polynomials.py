@@ -4,7 +4,7 @@ square-free parts, Sturm counts, sign_at and the floor of the base."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from univoque import algebraic, polynomials as pl
 from univoque.algebraic import (AlgebraicReal, DomainError, EndpointRootError,
@@ -166,21 +166,27 @@ rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 6))
 
 def _sign_after_zero_test(c, a) -> int:
     """sign_at(c, a) with the enclosure held undecided until an exact path
-    has run, so that every c reaches one: the exact zero test, or a step
-    that ends on the root as a point, where one evaluation of c is the
-    exact value.  A zero the test misses fails after 200 more enclosures
-    instead of bisecting forever; a nonzero value took at most 3 in 2,766
-    random cases."""
+    has run, so that every c reaches one: the exact zero test, either at
+    its divisibility exit (the box's polynomial divides c) or at its gcd
+    with c, or a step that ends on the root as a point, where one
+    evaluation of c is the exact value.  A zero the test misses fails
+    after 200 more enclosures instead of bisecting forever; a nonzero value
+    took at most 3 in 2,766 random cases."""
     tested, after = [], []
-    real_gcd, real_filter, real_step = (pl.poly_gcd, algebraic._filter,
-                                        algebraic._step)
+    real_gcd, real_divides, real_filter, real_step = (
+        pl.poly_gcd, pl.divides, algebraic._filter, algebraic._step)
 
     def gcd(u, v):
         if v == c:
             tested.append(1)
         return real_gcd(u, v)
 
-    def enclosure(*box):
+    def divides(u, v):
+        if v == c:
+            tested.append(1)
+        return real_divides(u, v)
+
+    def held_filter(*box):
         if not tested:
             return 0
         after.append(1)
@@ -195,7 +201,8 @@ def _sign_after_zero_test(c, a) -> int:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pl, "poly_gcd", gcd)
-        mp.setattr(algebraic, "_filter", enclosure)
+        mp.setattr(pl, "divides", divides)
+        mp.setattr(algebraic, "_filter", held_filter)
         mp.setattr(algebraic, "_step", step)
         algebraic._REFINED.clear()
         s = sign_at(c, a)
@@ -218,6 +225,10 @@ def test_sturm_count_matches_sympy_count_roots(p, lo, width):
 
 @settings(max_examples=40, deadline=None)
 @given(squarefull(), small, st.integers(1, 2))
+# x (3x + 1)^2: at -1/3 the box steps on the square-free part x (3x + 1),
+# which divides c = x (3x + 1), so the zero test ends at its divisibility
+# exit, before any gcd
+@example(p=(0, 1, 6, 9), h=(0, 1), e=1)
 def test_sign_at_and_the_cap_match_sympy(p, h, e):
     """At each real root of a square-full p: c = h g^e for every
     irreducible factor g of p, and c = h.  A factor g with the root and
