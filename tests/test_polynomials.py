@@ -43,6 +43,7 @@ def test_divmod_matches_sympy_div(a, b):
     assert pl.poly(quo) == tuple(sign * c for c in _coeffs(want_q))
     assert tuple(rem) == tuple(sign * c for c in _coeffs(want_r))
     assert all(type(c) is int for c in quo + rem)
+    assert pl.divides(b, a) == want_r.is_zero
 
 
 def test_divmod_keeps_a_quotient_of_degree_zero_and_an_exact_remainder():
