@@ -9,7 +9,7 @@ never touch floating point.
 
 Every interval a computation narrows to is a cell of the bisection grid
 of the isolating interval, the 2^d equal cells at depth d, or a point of
-that grid.  `refine` and `sign_at` narrow it by one step rule, `_step`:
+that grid.  `refine` and `floor_at` narrow it by one step rule, `_step`:
 quadratic interval refinement (QIR; Abbott, ACM CCA 2014), where the
 secant over the current cell picks one of nq = 2^j subcells, two sign
 tests confirm it and nq is squared; a step that fails takes nq to its
@@ -29,31 +29,27 @@ Which polynomial is stepped on changes only the cells a step visits,
 never the root they hold or an answer.  An interval over which not even the
 square-free part changes sign strictly, as when a root sits at an end,
 cannot be narrowed to its root: `_box` refuses it, so `refine` and
-`sign_at` raise there instead of answering for another root.
+`floor_at` raise there instead of answering for another root.
 
-The sign of an integer polynomial c at the root is decided in three
-stages, cheapest first.
-1. An interval enclosure of c over the isolating interval (`_enclose`)
-   decides it whenever the enclosure excludes 0.  At a point, one
-   evaluation of c gives the exact sign, 0 included.  Otherwise the
-   interval is narrowed by one step and the enclosure is tried again.
-2. Once the interval is narrower than a width tied to the bit size of c
-   and the enclosure still contains 0, one exact zero test settles
-   whether c vanishes at the root.  It answers 0 at once when the
-   polynomial f that the box steps on divides c.  Otherwise it answers 0
-   when h, the square-free part of gcd(f, c), changes sign over the
-   interval, and h becomes the box's f, so a later zero test at that root
-   of a c that h divides needs one division and no gcd.
-3. When the zero test finds no zero, the steps go on until the enclosure
-   excludes 0.
-`enclosure` is stage 1 alone, over the memo's interval and without a
-step: bounds A/s <= c(r) <= B/s that `expansions` reads each digit off,
-taking sign tests only where the bounds leave a candidate digit open.
+Every exact decision at a root is one floor, `floor_at`: t = floor(c(r)/s)
+for an integer polynomial c, clipped to lo - 1..hi - 1, and whether
+c(r) = t s.  It is one loop over the memo's box, cheapest test first.
+Each pass takes an interval enclosure of c over the box (`_enclose`); at
+a point box, one evaluation is c's exact value.  The floor is decided
+once the enclosure holds none of the integer thresholds lo..hi - 1
+(scaled to the enclosure's units).  When one threshold T is left and the
+box is narrower than a width tied to the bit size of c - T s, one exact
+zero test runs on c - T s.  It finds c(r) = T s at once when the
+polynomial f that the box steps on divides c - T s, and otherwise when h,
+the square-free part of gcd(f, c - T s), changes sign over the box; then
+h becomes the box's f, so a later zero at that root costs one division.
+Any other pass takes one step.  `sign_at` is the floor with the one
+threshold 0.
 
 One bounded memo, `_REFINED`, keeps the tightest interval found for each
 root, a cell or a point, with the polynomial stepped on, its values at
 the interval's ends and its nq; it is the only cache in the exact core
-that outlives a call.  `sign_at` and `refine` both start from it and
+that outlives a call.  `floor_at` and `refine` both start from it and
 leave their own tightest interval behind, so successive calls at one
 root share the work, and a dyadic root or a vanishing factor found by
 one call is known to the next; the memo never changes an AlgebraicReal
@@ -170,7 +166,7 @@ def _box(a: AlgebraicReal) -> _Box:
     narrowed to r, and is refused: with `EndpointRootError` when a.poly
     vanishes at an end, and `DomainError` otherwise, when the interval
     holds an even number of distinct roots.  This is the box a root starts
-    from when the memo holds none; a zero test in `sign_at` may later
+    from when the memo holds none; a zero test in `floor_at` may later
     replace its f by a factor that vanishes at r."""
     lo, hi, den = _grid(a)
     f = a.poly
@@ -243,7 +239,7 @@ def _qir(box: _Box):
 
 
 def _step(box: _Box) -> _Box:
-    """The one narrowing step of `refine` and `sign_at`, on a cell: a QIR
+    """The one narrowing step of `refine` and `floor_at`, on a cell: a QIR
     step, or, when it fails, one bisection with nq at its square root.
     Either may end on the root as a point."""
     return _qir(box) or _bisect(
@@ -342,86 +338,79 @@ def _enclose(c: tuple, lo: int, hi: int, den: int) -> tuple:
     return pos_lo - neg_hi, pos_hi - neg_lo
 
 
-def _filter(c: tuple, lo: int, hi: int, den: int) -> int:
-    """Sign of c over all of [lo/den, hi/den] when its enclosure
-    (`_enclose`) excludes 0; 0 when the enclosure is ambiguous.  Meant for
-    a cell, lo < hi: at a point one evaluation of c gives the exact sign,
-    so `sign_at` never passes one here."""
-    low, high = _enclose(c, lo, hi, den)
-    return 1 if low > 0 else -1 if high < 0 else 0
-
-
-def enclosure(c: tuple, a: AlgebraicReal) -> tuple:
-    """(A, B, s), integers with s > 0 and A/s <= c(r) <= B/s at the root r
-    of a, for an integer polynomial c given as a tuple, constant first.
-
-    The enclosure is `_enclose` over the memo's box for a, or over a's own
-    interval when the memo holds none: no step and no sign test, and the
-    memo is left as it is.  At a point box A == B, and A/s is c(r); so is
-    the enclosure of a constant c, read at any root without the memo."""
-    if len(c) <= 1:
-        v = c[0] if c else 0
-        return v, v, 1
-    box = _REFINED.get(a)
-    lo, hi, den = (box.lo, box.hi, box.den) if box else _grid(a)
-    return _enclose(c, lo, hi, den) + (den ** (len(c) - 1),)
-
-
-# Margin, in bits, past the bit size of c before the zero test runs: a
-# nonzero value is nearly always decided by the enclosure before then.
+# Margin, in bits, past the bit size of c - T s before the zero test runs:
+# a floor is nearly always decided by the enclosure before then.
 _ZERO_TEST_MARGIN = 32
 
 
-def sign_at(c, a: AlgebraicReal) -> int:
-    """Exact sign of the integer polynomial c at the root represented by a.
+def _clip(v: int, S: int, lo: int, hi: int) -> tuple:
+    """(t, v == t S) for t = floor(v / S) clipped to lo - 1..hi - 1; a t
+    clipped to lo - 1 is never exact."""
+    t = v // S
+    if t < lo:
+        return lo - 1, False
+    if t >= hi:
+        return hi - 1, False
+    return t, v == t * S
 
-    First an interval enclosure of c over the isolating interval decides
-    the sign whenever it excludes 0.  While it does not, the interval is
-    narrowed by one step (`_step`) and the enclosure tried again.  A step
-    may end on the root as a point, where one evaluation of c is its
-    exact value, so its sign, 0 included, is the answer.  Once
-    the interval is narrower than 2^-(b + 32), b the bit size of the
-    largest coefficient of c, and the enclosure still contains 0, one
-    exact zero test runs, on the polynomial f that the box steps on: a
-    factor of a.poly with the root.  When f divides c, c vanishes at the
-    root.  Otherwise h = squarefree_part(gcd(f, c)) divides a.poly and
-    the interval isolates one distinct root of a.poly, so a root of h
-    inside it is that root, simple in h: c vanishes at the root exactly
-    when h changes sign strictly over the interval.  Then h is kept as the
-    box's f, so a later c that h divides is a zero at one division.  If h
-    does not change sign, stepping goes on until the enclosure excludes 0,
-    which it does once the interval is narrow enough.
 
-    Each call starts from the tightest interval found for an equal
-    AlgebraicReal and leaves its own tightest interval behind in a bounded
-    memo; a itself is never changed.  An interval that `_box` cannot
-    narrow to the root, such as one with a root of a.poly at an end,
-    raises `EndpointRootError` or `DomainError`.
+def floor_at(c, s: int, a: AlgebraicReal, lo: int, hi: int) -> tuple:
+    """(t, c(r) == t s) for t = floor(c(r) / s) clipped to lo - 1..hi - 1,
+    at the root r of a, for an integer polynomial c and an integer s > 0.
+
+    A constant c is one floor division.  Otherwise each pass over the memo's
+    box for a, with S = s den^k, k = deg c: at a point box, the exact value
+    den^k c(r) is one evaluation.  Over a cell, `_enclose` gives
+    A <= den^k c(r) <= B, and the floor is decided once [A, B] holds no
+    threshold T S, lo <= T < hi.  With one T left, once the cell is narrower
+    than 2^-(b + 32), b the bit size of the largest coefficient of c - T s,
+    one zero test runs.  When f, the polynomial the box steps on (a factor
+    of a.poly with the root), divides c - T s, c(r) = T s.  Otherwise
+    h = squarefree_part(gcd(f, c - T s)) divides a.poly and the cell isolates
+    one distinct root of a.poly, so a root of h inside it is r, simple in
+    h: c(r) = T s exactly when h changes sign strictly over the cell, and h
+    becomes the box's f.  Any other pass takes one step (`_step`), which
+    narrows the enclosure until it excludes T.
+
+    Each call starts from the tightest box found for an equal AlgebraicReal
+    and leaves its own behind in a bounded memo; a itself is never changed.
+    A box that `_box` refuses raises `EndpointRootError` or `DomainError`.
     """
     c = pl.poly(c)
-    if pl.is_zero(c):
-        return 0
-    if pl.degree(c) == 0:
-        return _sign(c[0])
+    if len(c) <= 1:
+        return _clip(c[0] if c else 0, s, lo, hi)
     box = _REFINED.pop(a, None) or _box(a)
-    zero_test_bits = max(abs(x) for x in c).bit_length() + _ZERO_TEST_MARGIN
     tested = False
     try:
-        while box.lo != box.hi:
-            s = _filter(c, box.lo, box.hi, box.den)
-            if s != 0:
-                return s
-            if not tested and (box.hi - box.lo) << zero_test_bits <= box.den:
-                tested = True
-                if pl.divides(box.f, c):
-                    return 0
-                h = pl.squarefree_part(pl.poly_gcd(box.f, c))
-                vlo = pl.scaled_value(h, box.lo, box.den)
-                vhi = pl.scaled_value(h, box.hi, box.den)
-                if _sign(vlo) * _sign(vhi) < 0:
-                    box = box._replace(f=h, vlo=vlo, vhi=vhi)
-                    return 0
+        while True:
+            S = s * box.den ** (len(c) - 1)
+            if box.lo == box.hi:
+                return _clip(pl.scaled_value(c, box.lo, box.den), S, lo, hi)
+            low, high = _enclose(c, box.lo, box.hi, box.den)
+            # the thresholds T S inside [low, high] are T = first..last
+            first, last = max(lo, -(-low // S)), min(hi - 1, high // S)
+            if first > last:
+                return _clip(low, S, lo, hi)
+            if first == last and not tested:
+                d = (c[0] - first * s,) + c[1:]
+                bits = max(map(abs, d)).bit_length() + _ZERO_TEST_MARGIN
+                if (box.hi - box.lo) << bits <= box.den:
+                    tested = True
+                    if pl.divides(box.f, d):
+                        return first, True
+                    h = pl.squarefree_part(pl.poly_gcd(box.f, d))
+                    vlo = pl.scaled_value(h, box.lo, box.den)
+                    vhi = pl.scaled_value(h, box.hi, box.den)
+                    if _sign(vlo) * _sign(vhi) < 0:
+                        box = box._replace(f=h, vlo=vlo, vhi=vhi)
+                        return first, True
             box = _step(box)
-        return _sign(pl.scaled_value(c, box.lo, box.den))
     finally:
         _remember(a, box)
+
+
+def sign_at(c, a: AlgebraicReal) -> int:
+    """Exact sign of the integer polynomial c at the root represented by a:
+    `floor_at` with the one threshold 0."""
+    t, exact = floor_at(c, 1, a, 0, 1)
+    return -1 if t < 0 else 0 if exact else 1

@@ -4,11 +4,11 @@ The number 1 is expanded in a base q > 1 (q >= 1 for greedy) as
 sum_i c_i q^{-i} = 1.  Digit decisions are exact and go through one
 residual arithmetic, AlgebraicBase, which the oracle shares.  It keeps a
 residual as an integer polynomial of degree < deg f over a power of the
-leading coefficient of q's defining polynomial f.  Each digit is read
-off an interval enclosure of its residual, and sign_at decides only what
-the enclosure leaves open.  A rational q = a/b is the degree-1 case, the
-root of b x - a: its residuals are integers over b^n, and a digit is one
-floor division.  No step goes through Fraction.
+leading coefficient of q's defining polynomial f.  Each digit is one
+exact floor of its residual at q, `algebraic.floor_at`.  A rational
+q = a/b is the degree-1 case, the root of b x - a: its residuals are
+integers over b^n, and a digit is one floor division.  No step goes
+through Fraction.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import polynomials as pl
-from .algebraic import (AlgebraicReal, DomainError, enclosure, refine,
-                        sign_at)
+from .algebraic import AlgebraicReal, DomainError, floor_at, refine, sign_at
 from .characterization import check_greedy_admissible
 from .words import EPSequence, ep_sequence, word
 
@@ -115,13 +114,12 @@ def solve_base(s: EPSequence) -> AlgebraicReal:
 # r_0 = 1 and r_n = q r_{n-1} - c_n.  One class, AlgebraicBase, implements
 # the operations on it at every base: cap (floor of q, by the same floor
 # as every digit), root() (r_0), times_q(r), minus(x, c) (x - c for an
-# integer or a residual c), sign(x), and floor(x) -> (t, x == t).  A floor
-# reads the candidates off one enclosure of x (algebraic.enclosure) and
-# takes sign tests only for the candidates it leaves open.  A rational a/b
-# runs as the root of b x - a, where every residual has degree 0: its
-# enclosure is a point, so a digit is one floor division and a sign is
-# read off the constant.  The greedy and quasi-greedy rules below and the
-# oracle's tail-bound rule are written once over these operations.
+# integer or a residual c), sign(x), and floor(x) -> (t, x == t), each
+# floor one call of algebraic.floor_at.  A rational a/b runs as the root
+# of b x - a, where every residual has degree 0, so a digit is one floor
+# division and a sign is read off the constant.  The greedy and
+# quasi-greedy rules below and the oracle's tail-bound rule are written
+# once over these operations.
 
 
 class AlgebraicBase:
@@ -143,10 +141,11 @@ class AlgebraicBase:
 
     @cached_property
     def cap(self) -> int:
-        """floor(q), by `_floor` over the integers in [floor(a.lo),
+        """floor(q), by `floor_at` over the integers in [floor(a.lo),
         ceil(a.hi)), which hold it as a.lo < q < a.hi."""
-        return self._floor(self.times_q(self.root()), math.floor(self.a.lo),
-                           math.ceil(self.a.hi))[0]
+        n, den = self.times_q(self.root())
+        return floor_at(n, den, self.a, math.floor(self.a.lo),
+                        math.ceil(self.a.hi))[0]
 
     def root(self):
         return (1,) + (0,) * (len(self.low) - 1), 1
@@ -173,41 +172,10 @@ class AlgebraicBase:
         return sign_at(x[0], self.a)
 
     def floor(self, x) -> tuple:
-        """(t, x == t) with t = floor(x), for 0 <= x < cap + 2.
-
-        A digit's x is below cap + 1; the one candidate above that, cap + 1,
-        lets the digit loop see a value that breaks the invariant."""
-        return self._floor(x, 0, self.cap + 2)
-
-    def _floor(self, x, lo: int, hi: int) -> tuple:
-        """(t, x == t) with t = floor(x), for lo <= x < hi.
-
-        The enclosure A/s <= n(q) <= B/s of x = n(q)/den (`enclosure`, no
-        sign test) leaves the candidates floor(A/S)..floor(B/S), S = s den,
-        clipped to lo..hi - 1.  When one candidate t is left, x == t is
-        read off the enclosure where it can be: a point enclosure is x
-        itself, and A > t S puts x above t.  Only what stays open takes
-        sign tests, O(log(candidates)) of them by bisection.  At a rational
-        base n is a constant, its enclosure a point, and a digit one floor
-        division."""
-        n, den = x
-        low, high, s = enclosure(n, self.a)
-        s *= den
-        lo, hi = (min(max(lo, low // s), hi - 1),
-                  min(max(lo, high // s), hi - 1) + 1)
-        if low == high:
-            return lo, low == lo * s
-        exact = None if low <= lo * s else False
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            sign = self.sign(self.minus(x, mid))
-            if sign < 0:
-                hi = mid
-            else:
-                lo, exact = mid, sign == 0
-        if exact is None:
-            exact = self.sign(self.minus(x, lo)) == 0
-        return lo, exact
+        """(t, x == t) with t = floor(x), for 0 <= x < cap + 2, by
+        `floor_at`.  A digit's x is below cap + 1; a value at or above
+        cap + 1 answers t > cap, which the digit loop refuses."""
+        return floor_at(x[0], x[1], self.a, 0, self.cap + 2)
 
 
 def base_arithmetic(q):

@@ -18,10 +18,11 @@ from math import gcd
 
 def poly(coeffs) -> tuple:
     """Normalize a coefficient iterable into canonical tuple form."""
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+    c = tuple(coeffs)
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
 
 
 def degree(p: tuple) -> int:

@@ -188,14 +188,19 @@ def test_a_nonzero_zero_test_lets_the_steps_go_on(monkeypatch):
                         or real_gcd(f, g))
     monkeypatch.setattr(algebraic, "_step", lambda box: events.append("step")
                         or real_step(box))
-    real_filter = algebraic._filter
+    real_enclose = algebraic._enclose
+
+    def held(c, lo, hi, den):
+        # widened to hold 0 until the gcd has run and the cell is narrow
+        low, high = real_enclose(c, lo, hi, den)
+        if "gcd" not in events or (hi - lo) << (b + 40) > den:
+            return min(low, 0), max(high, 0)
+        return low, high
+
+    monkeypatch.setattr(algebraic, "_enclose", held)
     for k in (150, 151):
         n, d, side = _fib_near_miss(k)
         b = max(n, d).bit_length()
-        monkeypatch.setattr(
-            algebraic, "_filter", lambda c, lo, hi, den: 0
-            if "gcd" not in events or (hi - lo) << (b + 40) > den
-            else real_filter(c, lo, hi, den))
         algebraic._REFINED.clear()
         events.clear()
         assert sign_at((-n, d), algebraic_real(GOLDEN, 1, 2)) == -side
@@ -635,30 +640,45 @@ def test_refine_answers_from_the_memo_without_new_sign_tests(monkeypatch):
     assert calls == []
 
 
-# --- the enclosure without narrowing, and the memo's keys -------------------
+# --- floor_at against numerics, and the memo's keys -------------------------
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([GOLDEN, TRIB, (15, -13, 2), (-2, 0, 1)]),
-       st.lists(st.integers(-30, 30), max_size=5).map(pl.poly),
+# (p, lo, hi, g): the root of p in (lo, hi) and the irreducible factor g of p
+# that vanishes there.  (2q - 3)(q - 5) has the dyadic root 3/2, which a
+# step finds as a point; at the root of (q^2 - q - 1)(q - 5), p does not
+# divide a multiple of q^2 - q - 1, so the zero test takes its gcd
+FLOOR_ROOTS = [(GOLDEN, 1, 2, GOLDEN), (TRIB, 1, 2, TRIB),
+               ((15, -13, 2), 1, 2, (-3, 2)), ((-2, 0, 1), 1, 2, (-2, 0, 1)),
+               (_mul(GOLDEN, (-5, 1)), 1, 2, GOLDEN)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FLOOR_ROOTS),
+       st.lists(st.integers(-30, 30), max_size=4).map(pl.poly),
+       st.integers(1, 5), st.integers(-6, 6), st.integers(1, 6),
+       st.one_of(st.none(), st.integers(-8, 12)),
        st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(pl.poly))
-def test_enclosure_holds_the_value_and_leaves_the_memo(p, c, first):
-    """A/s <= c(r) <= B/s by exact sign tests, from a's own interval and
-    from the memo's box after a sign test narrowed it; the enclosure takes
-    no step, and at the point box of (2q - 3)(q - 5) it is c's value."""
-    a = algebraic_real(p, 1, 2)
+def test_floor_at_matches_300_digit_numerics(root, c, s, lo, width, t, first):
+    """floor_at(c, s, a, lo, lo + width) against floor(c(r) / s) at 320
+    digits, clipped, on a cold memo and after a sign test narrowed the box.
+    With t drawn, c is a multiple of g plus t s, so c(r) = t s exactly, below,
+    inside and above the thresholds, and the zero test decides it."""
+    p, a_lo, a_hi, g = root
+    a = algebraic_real(p, a_lo, a_hi)
+    if t is not None:
+        c = pl.poly((lambda m: (m[0] + t * s,) + m[1:])(_mul(c, g) or (0,)))
+    hi = lo + width
+    r = _root_300_digits(a)
+    with mpmath.workdps(320):
+        v = (mpmath.polyval(list(reversed(c)), r) if c else 0) / s
+        near = int(mpmath.nint(v))
+        # a nonzero c(r) - T s at such a root is far above 10^-250
+        exact = abs(v - near) < mpmath.mpf(10) ** -250
+        floor = near if exact else int(mpmath.floor(v))
+    want = (min(max(floor, lo - 1), hi - 1), exact and lo <= floor < hi)
     algebraic._REFINED.clear()
-    for _ in range(2):
-        box = algebraic._REFINED.get(a)
-        low, high, s = algebraic.enclosure(c, a)
-        assert algebraic._REFINED.get(a) == box
-        assert s > 0 and low <= high
-        scaled = tuple(s * x for x in c) or (0,)
-        assert sign_at((scaled[0] - low,) + scaled[1:], a) >= 0
-        assert sign_at((high - scaled[0],) + tuple(-x for x in scaled[1:]),
-                       a) >= 0
-        if box is not None and box.lo == box.hi:
-            assert low == high
-        sign_at(first, a)
+    assert algebraic.floor_at(c, s, a, lo, hi) == want
+    sign_at(first, a)
+    assert algebraic.floor_at(c, s, a, lo, hi) == want
 
 
 def test_equal_algebraic_reals_share_one_memo_entry():
@@ -683,6 +703,6 @@ def test_an_algebraic_real_hashes_its_fractions_once(monkeypatch):
     algebraic._REFINED.clear()
     for c in ((-3, 2), (-5, 3), (-8, 5), (-13, 8)):
         sign_at(c, a)
-        algebraic.enclosure(c, a)
+        algebraic.floor_at(c, 3, a, 0, 2)
     assert hash(a) == want
     assert calls == [F(1), F(2)]

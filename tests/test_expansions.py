@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 from math import lcm
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
@@ -432,24 +433,22 @@ def test_solve_base_refuses_a_polynomial_without_its_sign_change(
 
 
 def test_algebraic_expansion_refuses_a_digit_above_the_cap(monkeypatch):
-    """A sign test that always answers +1, under an enclosure that leaves
-    every candidate open, and an enclosure that puts a residual far above
-    the cap: either way the digit loop refuses the digit."""
+    """A floor that answers cap + 1, and a residual shifted far above the
+    cap, which the real floor clips to cap + 1: either way the digit loop
+    refuses the digit."""
     base = solve_base(ep_sequence((1, 1), (0,)))
+    b = expansions.base_arithmetic(base)
+    cap, real = b.cap, expansions.floor_at
+    monkeypatch.setattr(expansions, "base_arithmetic", lambda q: b)
     with monkeypatch.context() as mp:
-        mp.setattr(expansions, "sign_at", lambda c, a: 1)
-        mp.setattr(expansions, "enclosure", _no_enclosure)
+        mp.setattr(expansions, "floor_at", lambda *args: (cap + 1, False))
         with pytest.raises(RuntimeError, match="exceeds the cap"):
             greedy_expansion(base, 5)
-    monkeypatch.setattr(expansions, "enclosure", lambda c, a: (99, 99, 1))
+    monkeypatch.setattr(
+        expansions, "floor_at", lambda c, s, a, lo, hi:
+        real((c[0] + 99 * s,) + c[1:], s, a, lo, hi))
     with pytest.raises(RuntimeError, match="exceeds the cap"):
         greedy_expansion(base, 5)
-
-
-def _no_enclosure(c, a):
-    """An enclosure that says nothing: every candidate of a floor stays
-    open, so the floor is the bisection by sign tests alone."""
-    return -(1 << 64), 1 << 64, 1
 
 
 # --- the residual arithmetic against the Fraction reference -----------------
@@ -551,43 +550,61 @@ def test_rational_residuals_match_the_fraction_reference(a, b, strict):
         assert den == q.denominator ** i and F(num, den) == want
 
 
-# --- the floor: one enclosure, sign tests only for what it leaves open -------
+# --- the floor: one loop of enclosures, steps and one zero test ------------
 
 
-def _floor_reference(x: F, cap: int) -> tuple:
-    """(t, x == t) for t = floor(x) over the candidates 0..cap + 1: a value
-    at or above cap + 2 gives (cap + 1, False), the digit the loop
-    refuses."""
-    t = min(x.numerator // x.denominator, cap + 1)
-    return t, x == t
+def _clipped(x: F, lo: int, hi: int) -> tuple:
+    """(t, x == t) for t = floor(x) clipped to lo - 1..hi - 1, where lo - 1
+    is never exact: the Fraction reference of `floor_at`."""
+    t = min(max(math.floor(x), lo - 1), hi - 1)
+    return t, t >= lo and x == t
+
+
+def _at(c, x):
+    return sum(F(v) * x ** i for i, v in enumerate(c))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 400), st.integers(1, 60), st.integers(0, 3),
-       st.data())
-def test_floor_and_cap_match_the_fraction_reference(p, q, k, data):
-    """At a rational base p/q: cap, the floor of q itself, and the floor of
-    a residual over q^k, drawn as an exact integer or as any value up to
-    cap + 4, against Fraction floors; and the same by the bisection alone,
-    with an enclosure that says nothing."""
+       st.integers(-3, 8), st.integers(1, 6), st.integers(1, 60), st.data())
+def test_floor_at_and_cap_match_fraction_floors_at_rational_bases(
+        p, q, k, lo, width, s, data):
+    """At a rational base v = p/q: the cap, the floor of v itself and the
+    digit floor of a residual over q^k, drawn as an exact integer or as
+    any value up to cap + 4; and floor_at of c / s over lo..lo + width,
+    for c a polynomial of degree <= 3 at v, drawn with c(v) = T s for T
+    from below lo to above hi, or at any value.  Each against Fraction
+    floors."""
     v = F(p, q)
+    b = expansions.base_arithmetic(v)
     cap = p // q
+    assert b.cap == cap
+    assert b.floor(b.times_q(b.root())) == (cap, v == cap)
     den = q ** k
     if data.draw(st.booleans()):
         num = data.draw(st.integers(0, cap + 4)) * den
     else:
         num = data.draw(st.integers(0, (cap + 4) * den))
-    x = F(num, den)
-    for enclosure in (algebraic.enclosure, _no_enclosure):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(expansions, "enclosure", enclosure)
-            b = expansions.base_arithmetic(v)
-            assert b.cap == cap
-            assert b.floor(b.times_q(b.root())) == (cap, v == cap)
-            t, exact = b.floor(((num,), den))
-        assert (t, exact) == _floor_reference(x, cap)
-        if x >= cap + 2:
-            assert t > b.cap
+    t, exact = b.floor(((num,), den))
+    assert (t, exact) == _clipped(F(num, den), 0, cap + 2)
+    if num >= (cap + 2) * den:
+        assert t > cap
+    hi = lo + width
+    c = data.draw(st.lists(st.integers(-50, 50), max_size=3))
+    if data.draw(st.booleans()):
+        # c(v) = T s: a multiple of v's polynomial, plus T s
+        c = list(_mul(c, (-v.numerator, v.denominator))) or [0]
+        c[0] += data.draw(st.integers(lo - 2, hi + 1)) * s
+    assert algebraic.floor_at(c, s, b.a, lo, hi) == \
+        _clipped(_at(c, v) / s, lo, hi)
+
+
+def _mul(p, q):
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return pl.poly(out)
 
 
 @st.composite
@@ -599,31 +616,97 @@ def _greedy_words(draw):
     return w
 
 
+def _root_60_digits(a):
+    """The root of a (a sign change of a.poly over its interval) by 220
+    bisections at 60 digits."""
+    coeffs = list(reversed(a.poly))
+    with mpmath.workdps(60):
+        lo = mpmath.mpf(a.lo.numerator) / a.lo.denominator
+        hi = mpmath.mpf(a.hi.numerator) / a.hi.denominator
+        negative_lo = mpmath.polyval(coeffs, lo) < 0
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            if (mpmath.polyval(coeffs, mid) < 0) == negative_lo:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(_greedy_words(), st.booleans())
-def test_floor_matches_the_bisection_alone_at_seq_bases(w, strict):
-    """At the base of w 0^inf, greedy and quasi-greedy: the digits, the
-    cap and every floor the digit loop takes, exact residuals included,
-    are those of the bisection by sign tests alone."""
+def test_floors_at_seq_bases_match_the_paper_and_60_digit_numerics(w, strict):
+    """At the base of w 0^inf: the greedy digits are w 0^inf and the
+    quasi-greedy ones the word of quasi_from_greedy(w).  Every floor the
+    digit loop takes, the cap's included, is floor(c(q) / s) at 60 digits,
+    and it is exact just when c - t s is divisible by the irreducible factor
+    of a.poly with the root q (by sympy's rem)."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
     a = solve_base(ep_sequence(w, (0,)))
     n = 3 * len(w) + 3
-    expand = quasi_greedy_expansion if strict else greedy_expansion
+    if strict:
+        want = (quasi_from_greedy(w).period * n)[:n]
+    else:
+        want = (w + (0,) * n)[:n]
     floors = []
-    real = expansions.AlgebraicBase.floor
+    real = expansions.floor_at
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expansions.AlgebraicBase, "floor",
-                   lambda b, x: floors.append((x, real(b, x))) or
-                   floors[-1][1])
-        digits = expand(a, n).digits
-    if not strict:
-        assert digits == (w + (0,) * n)[:n]
+        mp.setattr(expansions, "floor_at", lambda *args: floors.append(
+            (args, real(*args))) or floors[-1][1])
+        expand = quasi_greedy_expansion if strict else greedy_expansion
+        assert expand(a, n).digits == want
     assert any(exact for _, (_, exact) in floors)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expansions, "enclosure", _no_enclosure)
-        b = expansions.AlgebraicBase(a)
-        assert b.cap == w[0]
-        assert [b.floor(x) for x, _ in floors] == [t for _, t in floors]
-        assert expand(a, n).digits == digits
+    g, = [g for g, _ in sympy.factor_list(sympy.Poly(
+        list(reversed(a.poly)), x))[1] if g.count_roots(a.lo, a.hi)]
+    root = _root_60_digits(a)
+    for (c, s, _, lo, hi), (t, exact) in floors:
+        c = pl.poly(c)
+        with mpmath.workdps(60):
+            value = mpmath.polyval(list(reversed(c)), root) / s
+            near = int(mpmath.nint(value))
+            gap = abs(value - near)
+        d = pl.poly(((c or (0,))[0] - near * s,) + c[1:])
+        vanishes = sympy.rem(sympy.Poly(list(reversed(d)) or [0], x),
+                             g).is_zero
+        # a nonzero c(q) - T s at such a base is far above 10^-40
+        assert vanishes == (gap < mpmath.mpf(10) ** -40)
+        floor = near if vanishes else int(mpmath.floor(value))
+        assert (t, exact) == (min(max(floor, lo - 1), hi - 1),
+                              vanishes and lo <= floor < hi)
+
+
+@pytest.mark.parametrize("w", [(1, 1), (2, 1), (1, 1, 1), (2, 0, 1),
+                               (1, 1, 0, 1), (3, 2, 1, 3)])
+def test_a_floor_encloses_each_box_once(monkeypatch, w):
+    """During an expansion at a seq:w(0) base, on a cold memo, each
+    floor_at call (sign_at's included) takes at most one enclosure per
+    step it takes, plus one: no enclosure is taken twice over one box."""
+    a = solve_base(ep_sequence(w, (0,)))
+    calls = []
+    real = (algebraic.floor_at, algebraic._enclose, algebraic._step)
+
+    def floor_at(*args):
+        calls.append([0, 0])
+        return real[0](*args)
+
+    def enclose(*args):
+        calls[-1][0] += 1
+        return real[1](*args)
+
+    def step(box):
+        calls[-1][1] += 1
+        return real[2](box)
+
+    for module in (algebraic, expansions):
+        monkeypatch.setattr(module, "floor_at", floor_at)
+    monkeypatch.setattr(algebraic, "_enclose", enclose)
+    monkeypatch.setattr(algebraic, "_step", step)
+    algebraic._REFINED.clear()
+    greedy_expansion(a, 40)
+    quasi_greedy_expansion(a, 40)
+    assert sum(steps for _, steps in calls) > 0
+    assert all(encloses <= steps + 1 for encloses, steps in calls)
 
 
 def test_a_rational_base_takes_no_sign_test_per_digit(monkeypatch):
@@ -662,13 +745,20 @@ def test_a_repeated_exact_zero_takes_one_gcd(monkeypatch):
     assert algebraic._REFINED[a].f == (-1, -2, 1)
 
 
-def test_an_exact_integer_that_the_enclosure_leaves_open_takes_a_sign_test(
+def test_an_exact_integer_that_no_enclosure_decides_takes_the_zero_test(
         monkeypatch):
     """At seq:21(0), n = k + q^2 - 2q - 1 is the integer k at q, but no
-    enclosure over a cell is a point, so a sign test says x == k.  At k = 0
-    the enclosure reaches below 0 and the candidates are clipped to 0."""
+    enclosure over a cell is a point, so the zero test says x == k, one
+    per floor.  At k = 0 the enclosure reaches below 0, and the threshold
+    left is 0."""
     b = expansions.base_arithmetic(ep_sequence((2, 1), (0,)))
+    tests = []
+    real = pl.divides
+    monkeypatch.setattr(pl, "divides",
+                        lambda f, g: tests.append(g) or real(f, g))
+    algebraic._REFINED.clear()
+    assert b.cap == 2
+    tests.clear()
     want = [(k, True) for k in range(4)]
     assert [b.floor(((k - 1, -2, 1), 1)) for k in range(4)] == want
-    monkeypatch.setattr(expansions, "enclosure", _no_enclosure)
-    assert [b.floor(((k - 1, -2, 1), 1)) for k in range(4)] == want
+    assert tests == [(-1, -2, 1)] * 4

@@ -172,10 +172,10 @@ def _sign_after_zero_test(c, a) -> int:
     with c, or a step that ends on the root as a point, where one
     evaluation of c is the exact value.  A zero the test misses fails
     after 200 more enclosures instead of bisecting forever; a nonzero value
-    took at most 3 in 2,766 random cases."""
-    tested, after = [], []
-    real_gcd, real_divides, real_filter, real_step = (
-        pl.poly_gcd, pl.divides, algebraic._filter, algebraic._step)
+    took one in each of 4,616 random cases."""
+    tested, after, parts = [], [], []
+    real_gcd, real_divides, real_enclose, real_step = (
+        pl.poly_gcd, pl.divides, algebraic._enclose, algebraic._step)
 
     def gcd(u, v):
         if v == c:
@@ -187,12 +187,21 @@ def _sign_after_zero_test(c, a) -> int:
             tested.append(1)
         return real_divides(u, v)
 
-    def held_filter(*box):
+    def held_enclose(*cell):
+        # widened to hold 0 until the test; a cell around 0 is enclosed in
+        # two parts, by nested calls, which count as one enclosure
+        parts.append(1)
+        try:
+            low, high = real_enclose(*cell)
+        finally:
+            parts.pop()
+        if parts:
+            return low, high
         if not tested:
-            return 0
+            return min(low, 0), max(high, 0)
         after.append(1)
         assert len(after) < 200, "no sign after the zero test"
-        return real_filter(*box)
+        return low, high
 
     def step(box):
         box = real_step(box)
@@ -203,7 +212,7 @@ def _sign_after_zero_test(c, a) -> int:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pl, "poly_gcd", gcd)
         mp.setattr(pl, "divides", divides)
-        mp.setattr(algebraic, "_filter", held_filter)
+        mp.setattr(algebraic, "_enclose", held_enclose)
         mp.setattr(algebraic, "_step", step)
         algebraic._REFINED.clear()
         s = sign_at(c, a)
