@@ -9,27 +9,23 @@ never touch floating point.
 
 Every interval a computation narrows to is a cell of the bisection grid
 of the isolating interval, the 2^d equal cells at depth d, or a point of
-that grid.  `refine` and `floor_at` narrow it by one step rule, `_step`:
-quadratic interval refinement (QIR; Abbott, ACM CCA 2014), where the
-secant over the current cell picks one of nq = 2^j subcells, two sign
-tests confirm it and nq is squared; a step that fails takes nq to its
-square root and bisects.  Near the root each successful step doubles the
-bits gained.  A step that evaluates the polynomial at the root itself, a
-grid point (a dyadic root), ends the narrowing: the interval becomes that
-point, lo == hi, the exact rational root.  `refine`'s answer for a width
-eps is the interval plain bisection gives, at no further sign test: the
-ancestor, at the depth where plain bisection stops, of the deepest cell
-found, or, once the root is a point, that ancestor or the thin interval
-bisection keeps around a midpoint root, in closed form.  The polynomial
-stepped on is the defining one when it changes sign strictly over the
-isolating interval (a root of odd multiplicity); only a root of even
-multiplicity needs the square-free part.  Once a zero test has found a
-factor that vanishes at the root, the steps go on with that factor.
-Which polynomial is stepped on changes only the cells a step visits,
-never the root they hold or an answer.  An interval over which not even the
-square-free part changes sign strictly, as when a root sits at an end,
-cannot be narrowed to its root: `_box` refuses it, so `refine` and
-`floor_at` raise there instead of answering for another root.
+that grid.  `floor_at` narrows it by one step rule, `_step`: quadratic
+interval refinement (QIR; Abbott, ACM CCA 2014), where the secant over
+the current cell picks one of nq = 2^j subcells, two sign tests confirm
+it and nq is squared; a step that fails takes nq to its square root and
+bisects.  Near the root each successful step doubles the bits gained.  A
+step that evaluates the polynomial at the root itself, a grid point (a
+dyadic root), ends the narrowing: the interval becomes that point,
+lo == hi, the exact rational root.  The polynomial stepped on is the
+defining one when it changes sign strictly over the isolating interval
+(a root of odd multiplicity); only a root of even multiplicity needs the
+square-free part.  Once a zero test has found a factor that vanishes at
+the root, the steps go on with that factor.  Which polynomial is stepped
+on changes only the cells a step visits, never the root they hold or an
+answer.  An interval over which not even the square-free part changes
+sign strictly, as when a root sits at an end, cannot be narrowed to its
+root: `_box` refuses it, so `refine` and `floor_at` raise there instead
+of answering for another root.
 
 Every exact decision at a root is one floor, `floor_at`: t = floor(c(r)/s)
 for an integer polynomial c, clipped to lo - 1..hi - 1, and whether
@@ -37,24 +33,28 @@ c(r) = t s.  It is one loop over the memo's box, cheapest test first.
 Each pass takes an interval enclosure of c over the box (`_enclose`); at
 a point box, one evaluation is c's exact value.  The floor is decided
 once the enclosure holds none of the integer thresholds lo..hi - 1
-(scaled to the enclosure's units).  When one threshold T is left and the
-box is narrower than a width tied to the bit size of c - T s, one exact
-zero test runs on c - T s.  It finds c(r) = T s at once when the
-polynomial f that the box steps on divides c - T s, and otherwise when h,
-the square-free part of gcd(f, c - T s), changes sign over the box; then
-h becomes the box's f, so a later zero at that root costs one division.
-Any other pass takes one step.  `sign_at` is the floor with the one
-threshold 0.
+(scaled to the enclosure's units); over a cell on one side of 0 the
+enclosure is open.  When one threshold T is left and the box is narrower
+than a width tied to the bit size of c - T s, one exact zero test runs on
+c - T s.  It finds c(r) = T s at once when the polynomial f that the box
+steps on divides c - T s, and otherwise when h, the square-free part of
+gcd(f, c - T s), changes sign over the box; then h becomes the box's f,
+so a later zero at that root costs one division.  Any other pass takes
+one step.  `sign_at` is the floor with the one threshold 0, and `refine`
+the floor of a linear polynomial, the index of the grid cell at the
+depth asked for: its answer for a width eps is the interval plain
+bisection gives, that cell or, at a dyadic root, the thin interval
+bisection keeps around a midpoint root, in closed form.
 
 One bounded memo, `_REFINED`, keeps the tightest interval found for each
 root, a cell or a point, with the polynomial stepped on, its values at
 the interval's ends and its nq; it is the only cache in the exact core
-that outlives a call.  `floor_at` and `refine` both start from it and
-leave their own tightest interval behind, so successive calls at one
-root share the work, and a dyadic root or a vanishing factor found by
-one call is known to the next; the memo never changes an AlgebraicReal
-or a result.  An AlgebraicReal hashes its fields once, as every memo
-lookup hashes it.
+that outlives a call, and `floor_at` alone reads and writes it.  Each
+call starts from it and leaves its own tightest interval behind, so
+successive calls at one root share the work, and a dyadic root or a
+vanishing factor found by one call is known to the next; the memo never
+changes an AlgebraicReal or a result.  An AlgebraicReal hashes its
+fields once, as every memo lookup hashes it.
 """
 
 from __future__ import annotations
@@ -239,9 +239,9 @@ def _qir(box: _Box):
 
 
 def _step(box: _Box) -> _Box:
-    """The one narrowing step of `refine` and `floor_at`, on a cell: a QIR
-    step, or, when it fails, one bisection with nq at its square root.
-    Either may end on the root as a point."""
+    """The one narrowing step of `floor_at`, on a cell: a QIR step, or,
+    when it fails, one bisection with nq at its square root.  Either may
+    end on the root as a point."""
     return _qir(box) or _bisect(
         box._replace(nq=max(4, 1 << (box.nq.bit_length() - 1) // 2)))
 
@@ -251,27 +251,23 @@ _REFINED: OrderedDict = OrderedDict()
 _REFINED_MAX = 256
 
 
-def _remember(a: AlgebraicReal, box: _Box) -> None:
-    """Keep box as the tightest interval found for a, within the bound."""
-    _REFINED[a] = box
-    if len(_REFINED) > _REFINED_MAX:
-        _REFINED.popitem(last=False)
-
-
 def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
     """Shrink the isolating interval to width <= eps; same root, new value.
 
-    The result is the interval plain bisection of a's interval stops at:
-    the cell of its grid that holds the root, at the first depth t whose
-    cells are no wider than eps.  Steps (`_step`) go on from the memo's
-    box for a, a cell or a point of a's grid, until it is a cell at depth
-    t or below, or a point; the answer is its ancestor at depth t.  A
-    point r, on the grid from depth d0 on (a dyadic root), is answered in
-    closed form: by its ancestor while t < d0.  From t = d0 on, bisection
-    meets r as a midpoint and keeps a thin interval centred on it, which
-    each further bisection narrows to a quarter: the answer has half-width
-    w / (den0 2^(d0 + 2 + 2k)), k = (t - d0) // 2, where w / den0 is the
-    width of a's interval.
+    The result is the interval plain bisection of a's interval stops at,
+    at the first depth t whose cells are no wider than eps.  It is one
+    floor.  With a's interval (lo0/den0, hi0/den0) and w = hi0 - lo0, cell
+    i at depth t is [lo0 2^t + i w, lo0 2^t + (i + 1) w] / (den0 2^t), so
+    the cell that holds the root r is i = floor(c(r) / w) for the linear
+    c(x) = 2^t (den0 x - lo0), 0 <= i < 2^t: `floor_at(c, w, a, 0, 2^t)`.
+    When c(r) is not i w, r lies strictly inside cell i, which bisection
+    keeps at every depth down to t: the answer is cell i.  When c(r) = i w,
+    r is grid point i (i > 0, as `_box` refuses a root at an end), on the
+    grid from depth d0 = t - v2(i) on (a dyadic root).  Bisection meets r
+    as a midpoint at depth d0 and keeps a thin interval centred on it,
+    which each further bisection narrows to a quarter: the answer has
+    half-width w / (den0 2^(d0 + 2 + 2k)), k = (t - d0) // 2, in closed
+    form.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -282,23 +278,13 @@ def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
     t = (-(-w * eps.denominator // (eps.numerator * den0)) - 1).bit_length()
     if t == 0:
         return a
-    box = _REFINED.pop(a, None) or _box(a)
-    try:
-        while (box.hi - box.lo) * eps.denominator > eps.numerator * box.den:
-            box = _step(box)
-    finally:
-        _remember(a, box)
-    # the box is cell or grid point i at depth d = log2(box.den / den0)
-    d = (box.den // den0).bit_length() - 1
-    i = (box.lo - (lo0 << d)) // w
-    if box.lo == box.hi:
-        # a point is on the grid from the depth that clears i's factors 2
-        d0 = d - ((i & -i).bit_length() - 1)
-        if t >= d0:
-            r = Fraction(box.lo, box.den)
-            h = Fraction(w, den0 << (d0 + 2 + 2 * ((t - d0) // 2)))
-            return AlgebraicReal(a.poly, r - h, r + h)
-    lo = (lo0 << t) + (i >> (d - t)) * w
+    i, exact = floor_at((-lo0 << t, den0 << t), w, a, 0, 1 << t)
+    lo = (lo0 << t) + i * w
+    if exact:
+        d0 = t - ((i & -i).bit_length() - 1)
+        r = Fraction(lo, den0 << t)
+        h = Fraction(w, den0 << (d0 + 2 + 2 * ((t - d0) // 2)))
+        return AlgebraicReal(a.poly, r - h, r + h)
     return AlgebraicReal(a.poly, Fraction(lo, den0 << t),
                          Fraction(lo + w, den0 << t))
 
@@ -361,16 +347,24 @@ def floor_at(c, s: int, a: AlgebraicReal, lo: int, hi: int) -> tuple:
     A constant c is one floor division.  Otherwise each pass over the memo's
     box for a, with S = s den^k, k = deg c: at a point box, the exact value
     den^k c(r) is one evaluation.  Over a cell, `_enclose` gives
-    A <= den^k c(r) <= B, and the floor is decided once [A, B] holds no
-    threshold T S, lo <= T < hi.  With one T left, once the cell is narrower
-    than 2^-(b + 32), b the bit size of the largest coefficient of c - T s,
-    one zero test runs.  When f, the polynomial the box steps on (a factor
-    of a.poly with the root), divides c - T s, c(r) = T s.  Otherwise
-    h = squarefree_part(gcd(f, c - T s)) divides a.poly and the cell isolates
-    one distinct root of a.poly, so a root of h inside it is r, simple in
-    h: c(r) = T s exactly when h changes sign strictly over the cell, and h
-    becomes the box's f.  Any other pass takes one step (`_step`), which
-    narrows the enclosure until it excludes T.
+    A <= den^k c(r) <= B, and the floor is decided once the enclosure holds
+    no threshold T S, lo <= T < hi; a floor so decided is never exact.
+    Over a cell with lo >= 0 the enclosure is open, A < den^k c(r) < B, so
+    a threshold equal to A or B is excluded: r lies strictly inside the
+    cell, and on [0, inf) the part c+ or c- that holds a nonconstant term
+    of c is strictly increasing, the other nondecreasing.  The mirror gives
+    the same for hi <= 0.  A cell around 0 keeps the closed enclosure
+    [A, B], as c(0) can be an end of it (x^2 over (-1, 2) has A = 0).
+
+    With one T left, once the cell is narrower than 2^-(b + 32), b the bit
+    size of the largest coefficient of c - T s, one zero test runs.  When
+    f, the polynomial the box steps on (a factor of a.poly with the root),
+    divides c - T s, c(r) = T s.  Otherwise
+    h = squarefree_part(gcd(f, c - T s)) divides a.poly and the cell
+    isolates one distinct root of a.poly, so a root of h inside it is r,
+    simple in h: c(r) = T s exactly when h changes sign strictly over the
+    cell, and h becomes the box's f.  Any other pass takes one step
+    (`_step`), which narrows the enclosure until it excludes T.
 
     Each call starts from the tightest box found for an equal AlgebraicReal
     and leaves its own behind in a bounded memo; a itself is never changed.
@@ -387,10 +381,13 @@ def floor_at(c, s: int, a: AlgebraicReal, lo: int, hi: int) -> tuple:
             if box.lo == box.hi:
                 return _clip(pl.scaled_value(c, box.lo, box.den), S, lo, hi)
             low, high = _enclose(c, box.lo, box.hi, box.den)
-            # the thresholds T S inside [low, high] are T = first..last
-            first, last = max(lo, -(-low // S)), min(hi - 1, high // S)
+            # the thresholds T S inside the enclosure are T = first..last;
+            # over a cell on one side of 0 it is open, o = 1
+            o = int(box.lo >= 0 or box.hi <= 0)
+            first = max(lo, -((-low - o) // S))
+            last = min(hi - 1, (high - o) // S)
             if first > last:
-                return _clip(low, S, lo, hi)
+                return _clip(low, S, lo, hi)[0], False
             if first == last and not tested:
                 d = (c[0] - first * s,) + c[1:]
                 bits = max(map(abs, d)).bit_length() + _ZERO_TEST_MARGIN
@@ -406,7 +403,9 @@ def floor_at(c, s: int, a: AlgebraicReal, lo: int, hi: int) -> tuple:
                         return first, True
             box = _step(box)
     finally:
-        _remember(a, box)
+        _REFINED[a] = box
+        if len(_REFINED) > _REFINED_MAX:
+            _REFINED.popitem(last=False)
 
 
 def sign_at(c, a: AlgebraicReal) -> int:

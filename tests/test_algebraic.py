@@ -191,10 +191,12 @@ def test_a_nonzero_zero_test_lets_the_steps_go_on(monkeypatch):
     real_enclose = algebraic._enclose
 
     def held(c, lo, hi, den):
-        # widened to hold 0 until the gcd has run and the cell is narrow
+        # widened strictly past 0, which the open enclosure of a cell on
+        # one side of 0 then holds, until the gcd has run and the cell is
+        # narrow
         low, high = real_enclose(c, lo, hi, den)
         if "gcd" not in events or (hi - lo) << (b + 40) > den:
-            return min(low, 0), max(high, 0)
+            return min(low, -1), max(high, 1)
         return low, high
 
     monkeypatch.setattr(algebraic, "_enclose", held)
@@ -619,25 +621,34 @@ def test_refine_after_any_history_equals_a_fresh_bisection(p, lo, hi):
 def test_refine_answers_from_the_memo_without_new_sign_tests(monkeypatch):
     """Coarser widths at a root refined deep, and a repeated width at the
     dyadic root 3/2 of (2q - 3)(q - 5), which the memo keeps as a point:
-    no evaluation, and a cold call at the point makes a handful."""
+    no step and no evaluation of a polynomial of degree above 1, and at
+    most one evaluation of the linear cell index per call (at the point).
+    A cold call at the point makes a handful."""
     a = solve_base(ep_sequence((), (1, 1, 0)))
     b = algebraic_real((15, -13, 2), 1, 2)
     eps = F(1, 2 ** 1000)
     expected = _bisection_refine(b, eps)
     algebraic._REFINED.clear()
     deep = refine(a, F(1, 2 ** 300))
-    calls = []
+    calls, steps = [], []
     real = pl.scaled_value
     monkeypatch.setattr(pl, "scaled_value",
                         lambda *args: calls.append(args) or real(*args))
     assert refine(b, eps) == expected
     assert len(calls) <= 10
-    calls.clear()
-    for k in (290, 100, 5):
-        r = refine(a, F(1, 2 ** k))
-        assert r.lo <= deep.lo and deep.hi <= r.hi
-    assert refine(b, eps) == expected
-    assert calls == []
+    real_step = algebraic._step
+    monkeypatch.setattr(algebraic, "_step",
+                        lambda box: steps.append(box) or real_step(box))
+    for k in (290, 100, 5, None):
+        calls.clear()
+        if k is None:
+            assert refine(b, eps) == expected
+        else:
+            r = refine(a, F(1, 2 ** k))
+            assert r.lo <= deep.lo and deep.hi <= r.hi
+        assert len(calls) <= 1
+        assert all(len(c) == 2 for c, *_ in calls)
+    assert steps == []
 
 
 # --- floor_at against numerics, and the memo's keys -------------------------
@@ -645,10 +656,13 @@ def test_refine_answers_from_the_memo_without_new_sign_tests(monkeypatch):
 # (p, lo, hi, g): the root of p in (lo, hi) and the irreducible factor g of p
 # that vanishes there.  (2q - 3)(q - 5) has the dyadic root 3/2, which a
 # step finds as a point; at the root of (q^2 - q - 1)(q - 5), p does not
-# divide a multiple of q^2 - q - 1, so the zero test takes its gcd
+# divide a multiple of q^2 - q - 1, so the zero test takes its gcd.  Every
+# cell of (-1, 2) around the root 0 of q straddles 0, and -sqrt(2) puts
+# every cell left of 0
 FLOOR_ROOTS = [(GOLDEN, 1, 2, GOLDEN), (TRIB, 1, 2, TRIB),
                ((15, -13, 2), 1, 2, (-3, 2)), ((-2, 0, 1), 1, 2, (-2, 0, 1)),
-               (_mul(GOLDEN, (-5, 1)), 1, 2, GOLDEN)]
+               (_mul(GOLDEN, (-5, 1)), 1, 2, GOLDEN),
+               ((0, 1), -1, 2, (0, 1)), ((-2, 0, 1), -2, -1, (-2, 0, 1))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -679,6 +693,18 @@ def test_floor_at_matches_300_digit_numerics(root, c, s, lo, width, t, first):
     assert algebraic.floor_at(c, s, a, lo, hi) == want
     sign_at(first, a)
     assert algebraic.floor_at(c, s, a, lo, hi) == want
+
+
+def test_a_cell_around_0_keeps_a_threshold_at_an_end_of_its_enclosure():
+    """At the root 0 of x on (-1, 2) every cell straddles 0, where c(0) can
+    be an end of the enclosure: x^2 has the enclosure [0, B] over each
+    cell, and x^2 + 3 the enclosure [3, B'].  So the enclosure is closed
+    there, and the zero test finds each exact value."""
+    a = algebraic_real((0, 1), -1, 2)
+    algebraic._REFINED.clear()
+    assert algebraic.floor_at((0, 0, 1), 1, a, 0, 1) == (0, True)
+    assert sign_at((0, 0, 1), a) == 0
+    assert algebraic.floor_at((3, 0, 1), 1, a, 0, 5) == (3, True)
 
 
 def test_equal_algebraic_reals_share_one_memo_entry():

@@ -188,8 +188,9 @@ def _sign_after_zero_test(c, a) -> int:
         return real_divides(u, v)
 
     def held_enclose(*cell):
-        # widened to hold 0 until the test; a cell around 0 is enclosed in
-        # two parts, by nested calls, which count as one enclosure
+        # widened strictly past 0, to hold it open or closed, until the
+        # test; a cell around 0 is enclosed in two parts, by nested calls,
+        # which count as one enclosure
         parts.append(1)
         try:
             low, high = real_enclose(*cell)
@@ -198,7 +199,7 @@ def _sign_after_zero_test(c, a) -> int:
         if parts:
             return low, high
         if not tested:
-            return min(low, 0), max(high, 0)
+            return min(low, -1), max(high, 1)
         after.append(1)
         assert len(after) < 200, "no sign after the zero test"
         return low, high
