@@ -5,18 +5,23 @@ contain exactly one distinct real root.  `algebraic_real` certifies that
 for `poly:` input by a Sturm count, the only use of Sturm chains;
 `expansions.solve_base` certifies it by monotonicity instead.  All
 decisions are exact: bisection midpoints are rationals and sign tests
-never touch floating point.
+never touch floating point.  Floats only propose where a root lies, and
+exact signs decide whether the proposal stands.
 
 Every interval a computation narrows to is a cell of the bisection grid
 of the isolating interval, the 2^d equal cells at depth d, or a point of
-that grid.  `floor_at` narrows it by one step rule, `_step`: quadratic
-interval refinement (QIR; Abbott, ACM CCA 2014), where the secant over
-the current cell picks one of nq = 2^j subcells, two sign tests confirm
-it and nq is squared; a step that fails takes nq to its square root and
-bisects.  Near the root each successful step doubles the bits gained.  A
-step that evaluates the polynomial at the root itself, a grid point (a
-dyadic root), ends the narrowing: the interval becomes that point,
-lo == hi, the exact rational root.  The polynomial stepped on is the
+that grid.  A root's first box (`_box`) is the cell about 44 bits below
+the root's magnitude that a float Newton estimate points at, kept when
+the exact signs of the polynomial at its two ends bracket the root (an
+end where it vanishes is the root, kept as that point); otherwise the
+whole isolating interval.  `floor_at` narrows it by one step rule,
+`_step`: quadratic interval refinement (QIR; Abbott, ACM CCA 2014), where
+the secant over the current cell picks one of nq = 2^j subcells, two sign
+tests confirm it and nq is squared; a step that fails takes nq to its
+square root and bisects.  Near the root each successful step doubles the
+bits gained.  A step that evaluates the polynomial at the root itself, a
+grid point (a dyadic root), ends the narrowing: the interval becomes that
+point, lo == hi, the exact rational root.  The polynomial stepped on is the
 defining one when it changes sign strictly over the isolating interval
 (a root of odd multiplicity); only a root of even multiplicity needs the
 square-free part.  Once a zero test has found a factor that vanishes at
@@ -63,7 +68,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import isfinite, lcm
 from typing import NamedTuple
 
 from . import polynomials as pl
@@ -108,8 +113,11 @@ class AlgebraicReal:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        # Fraction(x) of a Fraction would copy it, through an ABC check
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
 
     @cached_property
     def _hash(self) -> int:
@@ -165,7 +173,11 @@ def _box(a: AlgebraicReal) -> _Box:
     An interval where even that part has no strict sign change cannot be
     narrowed to r, and is refused: with `EndpointRootError` when a.poly
     vanishes at an end, and `DomainError` otherwise, when the interval
-    holds an even number of distinct roots.  This is the box a root starts
+    holds an even number of distinct roots.  Of that interval, `_propose`
+    keeps the cell 44 bits below r's magnitude that a float estimate of r
+    falls in, once exact signs at its ends confirm it: QIR then starts
+    from 2^16 subcells of it, where from the whole interval it would need
+    several steps to gain those bits.  This is the box a root starts
     from when the memo holds none; a zero test in `floor_at` may later
     replace its f by a factor that vanishes at r."""
     lo, hi, den = _grid(a)
@@ -179,7 +191,106 @@ def _box(a: AlgebraicReal) -> _Box:
                 "interval endpoint is a root; perturb the endpoints")
         if _sign(vlo) == _sign(vhi):
             raise DomainError("no sign change over the isolating interval")
-    return _Box(f, lo, hi, den, vlo, vhi)
+    return _propose(_Box(f, lo, hi, den, vlo, vhi))
+
+
+# The proposed cell is this many bits narrower than the root's magnitude,
+# 9 bits above the resolution of a float's 53; its first QIR step splits it
+# into _PROPOSAL_NQ subcells.
+_PROPOSAL_BITS = 44
+_PROPOSAL_NQ = 1 << 16
+_NEWTON_STEPS = 64
+
+
+def _newton(g: list, a: float, b: float, sa: int):
+    """A float root of g (highest coefficient first) between a < b, where
+    g has the sign sa at a and -sa at b; None on an overflow or a NaN.
+
+    Newton's method from the midpoint, safeguarded as in rtsafe (Press et
+    al., Numerical Recipes, 9.4): each iterate's float sign narrows the
+    bracket, and a step that leaves it, or is not at most half the step
+    two before, bisects instead, so a steep g such as x^n - c, where
+    Newton gains only a factor 1 - 1/n per step far from the root, still
+    converges."""
+    x = (a + b) / 2
+    last = before = b - a
+    for _ in range(_NEWTON_STEPS):
+        v = dv = 0.0
+        for c in g:
+            dv = dv * x + v
+            v = v * x + c
+        if not (isfinite(v) and isfinite(dv)):
+            return None
+        if v == 0:
+            return x
+        if (v > 0) == (sa > 0):
+            a = x
+        else:
+            b = x
+        nx = x - v / dv if dv else x
+        if not a < nx < b or 2 * abs(nx - x) > abs(before):
+            nx = (a + b) / 2
+        last, before = nx - x, last
+        if abs(last) <= abs(x) * 2.0 ** -52:
+            return nx
+        x = nx
+    return x
+
+
+def _float_root(box: _Box):
+    """A float estimate of the root in the cell box, or None.  Right of 1
+    Newton runs on y^k f(1/y) in y = 1/x, whose values stay within float
+    range where f's overflow at high degree; elsewhere on f in x."""
+    f, lo, hi, den, vlo, vhi, _ = box
+    try:
+        if lo >= den:
+            # y^k f(1/y) has f's sign for y > 0, so vhi's at den/hi
+            y = _newton([float(c) for c in f], den / hi, den / lo,
+                        _sign(vhi))
+            return None if y is None else 1 / y
+        return _newton([float(c) for c in reversed(f)], lo / den, hi / den,
+                       _sign(vlo))
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
+def _propose(box: _Box) -> _Box:
+    """The cell of box's grid about _PROPOSAL_BITS bits below the root's
+    magnitude that holds a float estimate of the root, when exact signs at
+    its two ends show that it holds the root; else box itself.
+
+    Floats only propose: the cell is kept, with nq = _PROPOSAL_NQ, when
+    f's exact values at its ends have opposite signs, and an end where f
+    vanishes is the root (f has no zero at box's own ends), kept as that
+    point.  An estimate that overflows, is not finite or lies outside box,
+    and a failed check, leave box; so does a box already narrower than a
+    float resolves, before any evaluation."""
+    f, lo, hi, den = box[:4]
+    w = hi - lo
+    if max(abs(lo), abs(hi)) > w << _PROPOSAL_BITS:
+        return box
+    x = _float_root(box)
+    if x is None or not isfinite(x):
+        return box
+    p, q = x.as_integer_ratio()
+    # depth t: cells of width w / (den 2^t) about |x| 2^-_PROPOSAL_BITS
+    t = ((w * q).bit_length() - (den * abs(p)).bit_length()
+         + _PROPOSAL_BITS)
+    if t < 1:
+        return box
+    i = ((p * den - lo * q) << t) // (q * w)
+    if not 0 <= i < 1 << t:
+        return box
+    clo, cden = (lo << t) + i * w, den << t
+    vclo = pl.scaled_value(f, clo, cden)
+    if vclo == 0:
+        return _Box(f, clo, clo, cden, 0, 0, _PROPOSAL_NQ)
+    vchi = pl.scaled_value(f, clo + w, cden)
+    if vchi == 0:
+        return _Box(f, clo + w, clo + w, cden, 0, 0, _PROPOSAL_NQ)
+    if _sign(vclo) * _sign(vchi) < 0:
+        return _Box(f, clo, clo + w, cden, vclo, vchi, _PROPOSAL_NQ)
+    return box
 
 
 def _bisect(box: _Box) -> _Box:

@@ -41,6 +41,8 @@ def _max_work(default: int) -> int:
 # the most decimal digits int() reads or prints by default
 # (sys.int_info.default_max_str_digits)
 _MAX_DIGITS = 4300
+# the least integer of more than _MAX_DIGITS digits, built once
+_MAX_INT_PART = 10 ** _MAX_DIGITS
 
 
 def _frac(text: str) -> Fraction:
@@ -77,7 +79,7 @@ def parse_base(text: str):
                          "'poly:1,-1,-1 in (1,2)'")
     q = _frac(text)
     # a greedy digit up to floor(q) is printed in decimal
-    if q >= 10 ** _MAX_DIGITS:
+    if q >= _MAX_INT_PART:
         raise ParseError("base %r has an integer part of more than %d "
                          "digits" % (text, _MAX_DIGITS))
     return q

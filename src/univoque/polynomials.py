@@ -39,13 +39,20 @@ def scaled_value(p: tuple, n: int, d: int) -> int:
     It has the sign of p(n/d).  For polynomials of one length at points
     over one denominator d, these values compare like the values of the
     polynomials themselves.  Horner's rule on the homogenized form
-    sum p_i n^i d^(k-i) needs no Fraction and no gcd.
+    sum p_i n^i d^(k-i) needs no Fraction and no gcd.  With d = u 2^e,
+    u odd, split once, the power d^i that scales the i-th coefficient from
+    the top is u^i shifted left by e i: at a dyadic point (u = 1) no power
+    of d is multiplied at all, and otherwise only the powers of u are.
     """
+    e = (d & -d).bit_length() - 1
+    u = d >> e
     acc = 0
-    dk = 1
+    uk = 1
+    shift = 0
     for c in reversed(p):
-        acc = acc * n + c * dk
-        dk *= d
+        acc = acc * n + (c * uk << shift)
+        uk *= u
+        shift += e
     return acc
 
 

@@ -200,12 +200,14 @@ def test_a_nonzero_zero_test_lets_the_steps_go_on(monkeypatch):
         return low, high
 
     monkeypatch.setattr(algebraic, "_enclose", held)
+    # built first: its Sturm count takes a gcd that is not a zero test
+    a = algebraic_real(GOLDEN, 1, 2)
     for k in (150, 151):
         n, d, side = _fib_near_miss(k)
         b = max(n, d).bit_length()
         algebraic._REFINED.clear()
         events.clear()
-        assert sign_at((-n, d), algebraic_real(GOLDEN, 1, 2)) == -side
+        assert sign_at((-n, d), a) == -side
         assert events.count("gcd") == 1
         assert "step" in events[events.index("gcd"):]
 
@@ -497,10 +499,17 @@ def _point(box):
     return F(box.lo, box.den) if box.lo == box.hi else None
 
 
+def _hold_the_proposal(monkeypatch):
+    """Start every box from a's whole interval, as if no float estimate had
+    proposed a first cell, so that the steps under test run from there."""
+    monkeypatch.setattr(algebraic, "_propose", lambda box: box)
+
+
 def test_a_root_found_at_a_grid_point_ends_the_qir_steps(monkeypatch):
     """(x - p)(x + 5) with p = 1 + 683/1024: once a QIR step evaluates at
     p, the memo box is that point, and no step follows, in this call or
     the next."""
+    _hold_the_proposal(monkeypatch)
     steps = []
     real = algebraic._qir
     monkeypatch.setattr(algebraic, "_qir",
@@ -547,6 +556,7 @@ def test_a_root_found_by_sign_at_stops_the_qir_steps_of_the_next_call(
     """(2q - 3)(q - 5): the first QIR step evaluates its root 3/2, and the
     memo box is that point, where one evaluation is exact: later sign
     tests take no step and no zero test."""
+    _hold_the_proposal(monkeypatch)
     # built first: its Sturm count takes a gcd that is not a zero test
     a = algebraic_real((15, -13, 2), 1, 2)
     steps, gcd_calls = [], []
@@ -570,6 +580,7 @@ def test_a_root_found_by_sign_at_stops_the_qir_steps_of_the_next_call(
 def test_a_sign_at_a_point_box_is_one_evaluation(monkeypatch):
     """Once the memo holds the point 3/2 of (2q - 3)(q - 5), the sign of c
     there is c's value at that point, not an enclosure of it."""
+    _hold_the_proposal(monkeypatch)
     a = algebraic_real((15, -13, 2), 1, 2)
     algebraic._REFINED.clear()
     assert sign_at((-3, 2), a) == 0
@@ -586,6 +597,7 @@ def test_a_midpoint_root_found_by_bisection_is_kept_as_a_point(monkeypatch):
     """(2x - 3) x^4 on (1, 2): the first secant misses, the bisection that
     follows evaluates the root 3/2 at its midpoint, and the memo box is
     that point, so no QIR step follows."""
+    _hold_the_proposal(monkeypatch)
     steps = []
     real = algebraic._qir
     monkeypatch.setattr(algebraic, "_qir",
@@ -732,3 +744,157 @@ def test_an_algebraic_real_hashes_its_fractions_once(monkeypatch):
         algebraic.floor_at(c, 3, a, 0, 2)
     assert hash(a) == want
     assert calls == [F(1), F(2)]
+
+
+# --- the proposed first cell -------------------------------------------------
+
+def test_the_first_box_is_a_proposed_cell_or_point_of_the_grid():
+    """The first box of a root is the cell of a's bisection grid, 44 bits
+    below the root's magnitude, that a float estimate proposed, split into
+    2^16 subcells by its first step; at a dyadic root it is that point."""
+    a = algebraic_real(TRIB, 1, 2)
+    box = algebraic._box(a)
+    lo0, hi0, den0 = algebraic._grid(a)
+    t = box.den.bit_length() - den0.bit_length()
+    assert box.den == den0 << t and t == 44
+    assert box.hi - box.lo == hi0 - lo0
+    assert (box.lo - (lo0 << t)) % (hi0 - lo0) == 0
+    assert box.nq == 1 << 16
+    assert box.vlo < 0 < box.vhi
+    b = algebraic_real(_mul((-3, 2), (1, 0, 1)), 1, 2)
+    box = algebraic._box(b)
+    assert _point(box) == F(3, 2)
+
+
+def test_a_steep_root_is_proposed_on_either_side_of_0():
+    """x^1101 - 3 on (1, 2) and x^1101 + 3 on (-2, -1): from the midpoint,
+    Newton on x^n - c gains only a factor 1 - 1/n per step, so the steps
+    that do not halve bisect, and the estimate is within a cell of the
+    root before the iterations run out."""
+    n = 1101
+    for sign, lo, hi in ((1, 1, 2), (-1, -2, -1)):
+        a = algebraic_real((-3 * sign,) + (0,) * (n - 1) + (1,), lo, hi)
+        box = algebraic._box(a)
+        assert box.nq == 1 << 16 and box.hi - box.lo == 1
+        # the root is sign 3^(1/1101) = sign 1.000998...
+        assert sign_at((-10009 * sign, 10000), a) == sign
+        assert sign_at((-1001 * sign, 1000), a) == -sign
+
+
+def test_a_box_narrower_than_a_float_resolves_takes_no_proposal(monkeypatch):
+    """Around the tribonacci constant, an interval of width 2^-60 is already
+    finer than the cell a float estimate could propose: its first box is
+    the interval itself, after the two evaluations at its ends."""
+    r = refine(algebraic_real(TRIB, 1, 2), F(1, 2 ** 60))
+    calls = []
+    real = pl.scaled_value
+    monkeypatch.setattr(pl, "scaled_value",
+                        lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(algebraic, "_float_root", lambda box: 1 / 0)
+    box = algebraic._box(r)
+    assert (box.lo, box.hi, box.den) == algebraic._grid(r) and box.nq == 4
+    assert len(calls) == 2
+
+
+def test_a_wrong_float_estimate_is_refused_by_the_end_check(monkeypatch):
+    """An estimate 2^-30 off the root lies 2^14 cells from the one that
+    holds it.  The exact signs at that cell's ends agree, so the first box
+    stays a's whole interval, and every answer is plain bisection's."""
+    a = algebraic_real(TRIB, 1, 2)
+    real = algebraic._float_root
+    monkeypatch.setattr(algebraic, "_float_root",
+                        lambda box: real(box) + 2.0 ** -30)
+    algebraic._REFINED.clear()
+    assert algebraic._box(a)[1:4] == algebraic._grid(a)
+    for b in (10, 50, 200):
+        assert refine(a, F(1, 2 ** b)) == _bisection_refine(a, F(1, 2 ** b))
+    assert sign_at((-7, 4), a) == 1 and sign_at((-13, 7), a) == -1
+
+
+def test_an_ill_conditioned_root_falls_back_to_the_whole_interval():
+    """2^30 (2x - 3)^3 - 1 has exact float coefficients, but its values near
+    the root 3/2 + 2^-11 cancel, and the float root is about 2^-31 off:
+    the end check refuses the proposed cell."""
+    K = 2 ** 30
+    a = algebraic_real((-27 * K - 1, 54 * K, -36 * K, 8 * K), 1, 2)
+    algebraic._REFINED.clear()
+    assert algebraic._box(a)[1:4] == algebraic._grid(a)
+    for b in (20, 60, 150):
+        assert refine(a, F(1, 2 ** b)) == _bisection_refine(a, F(1, 2 ** b))
+
+
+# coefficients beyond float range: no float estimate, the whole interval
+_HUGE = 7 ** 400
+
+
+def _proposal_root(draw, kind):
+    """(a, g): a root of the kind a proposal meets, with a polynomial g
+    that vanishes there.  A dyadic root N/2^j is a point of a's grid, which
+    the proposed cell then has at an end (mirrored left of 0 for
+    "negative"); "small" is a root of a small polynomial with the factor
+    n x^2 - m, left of 0, below 1 or above it; a seq base has degree
+    >= 100."""
+    if kind in ("dyadic", "negative"):
+        j = draw(st.integers(0, 40))
+        n = draw(st.integers(1, 2 ** (j + 2)))
+        g = (-n, 2 ** j)
+        p = _mul(g, (draw(st.integers(1, 9)), 0, 1))
+        lo = -(-n // 2 ** j) - 1
+        if kind == "negative":
+            return (algebraic_real(_mirror(p), -lo - 2, -lo),
+                    _mirror(g))
+        return algebraic_real(p, lo, lo + 2), g
+    if kind == "small":
+        h = draw(st.lists(st.integers(-9, 9), max_size=3))
+        p = _mul(tuple(h) + (draw(st.integers(1, 9)),),
+                 (-draw(st.integers(1, 40)), 0, draw(st.integers(1, 9))))
+        roots = _isolate_roots(p, -3, 3, parts=12)
+        assume(roots)
+        lo, hi = draw(st.sampled_from(roots))
+        return AlgebraicReal(p, lo, hi), p
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    pre = [rng.randint(0, 2) for _ in range(draw(st.integers(40, 60)))]
+    per = [rng.randint(0, 2) for _ in range(draw(st.integers(60, 70)))]
+    pre[0] = 1
+    a = solve_base(ep_sequence(tuple(pre), tuple(per)))
+    assume(len(a.poly) > 100)
+    return a, a.poly
+
+
+def _mirror(p):
+    """p(-x)."""
+    return tuple(-x if i % 2 else x for i, x in enumerate(p))
+
+
+def _answers(a, g, bits, cs):
+    """refine at each 2^-b, then for each c its sign, a floor of c / 3 and
+    the floor of c g + 2, which is exactly 2, on a cold memo."""
+    algebraic._REFINED.clear()
+    out = [refine(a, F(1, 2 ** b)) for b in bits]
+    for c in cs:
+        out.append(sign_at(c, a))
+        out.append(algebraic.floor_at(c, 3, a, -4, 4))
+        cg = _mul(c, g) or (0,)
+        out.append(algebraic.floor_at((cg[0] + 2,) + cg[1:], 1, a, 0, 5))
+    return out
+
+
+@pytest.mark.parametrize("huge", [False, True])
+@pytest.mark.parametrize("kind", ["dyadic", "negative", "small", "seq"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(),
+       bits=st.lists(st.integers(1, 300), min_size=1, max_size=4),
+       cs=st.lists(st.lists(st.integers(-9, 9), max_size=4).map(pl.poly),
+                   max_size=3))
+def test_the_proposal_changes_no_answer(kind, huge, data, bits, cs):
+    """refine, floor_at and sign_at answer the same whether each box starts
+    from a proposed cell or from a's whole interval.  With huge, a.poly is
+    scaled past float range, where no estimate is made."""
+    a, g = _proposal_root(data.draw, kind)
+    if huge:
+        a = AlgebraicReal(tuple(_HUGE * x for x in a.poly), a.lo, a.hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebraic, "_propose", lambda box: box)
+        held = _answers(a, g, bits, cs)
+    assert _answers(a, g, bits, cs) == held
+    assert held[len(bits) + 2::3] == [(2, True)] * len(cs)

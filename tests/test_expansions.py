@@ -702,6 +702,8 @@ def test_a_floor_encloses_each_box_once(monkeypatch, w):
         monkeypatch.setattr(module, "floor_at", floor_at)
     monkeypatch.setattr(algebraic, "_enclose", enclose)
     monkeypatch.setattr(algebraic, "_step", step)
+    # boxes start from the whole interval, so that the expansions take steps
+    monkeypatch.setattr(algebraic, "_propose", lambda box: box)
     algebraic._REFINED.clear()
     greedy_expansion(a, 40)
     quasi_greedy_expansion(a, 40)

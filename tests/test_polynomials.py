@@ -1,6 +1,7 @@
 """The exact polynomial core, differentially against sympy: pseudo-division,
 square-free parts, Sturm counts, sign_at and the floor of the base."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,40 @@ def _coeffs(p) -> list:
 
 def _monic(p) -> tuple:
     return tuple(F(c) / p[-1] for c in p)
+
+
+def _scaled_value_by_powers_of_d(p, n, d):
+    """d^k p(n/d) by Horner's rule with the powers of d multiplied up one by
+    one: the reference for scaled_value's shifted powers of d = u 2^e."""
+    acc = 0
+    dk = 1
+    for c in reversed(p):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
+
+
+@st.composite
+def big_polys(draw):
+    """Up to 601 coefficients of up to 80 bits, some of them 0, from a
+    drawn seed: the degrees of the approximants' polynomials."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    bits = draw(st.integers(1, 80))
+    return tuple(rng.choice((0, rng.randint(-2 ** bits, 2 ** bits)))
+                 for _ in range(draw(st.integers(0, 601))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_polys(), st.integers(-2 ** 400, 2 ** 400),
+       st.integers(0, 2 ** 64).map(lambda j: 2 * j + 1), st.integers(0, 400))
+@example(p=(3, -1, 4), n=-5, u=1, e=0)
+@example(p=(), n=7, u=3, e=2)
+@example(p=(-9,), n=7, u=1, e=5)
+def test_scaled_value_matches_the_loop_over_powers_of_d(p, n, u, e):
+    """d = u 2^e with u odd: d = 1, odd d (e = 0), powers of 2 (u = 1) and
+    mixed d, at negative and positive numerators."""
+    d = u << e
+    assert pl.scaled_value(p, n, d) == _scaled_value_by_powers_of_d(p, n, d)
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,6 +250,8 @@ def _sign_after_zero_test(c, a) -> int:
         mp.setattr(pl, "divides", divides)
         mp.setattr(algebraic, "_enclose", held_enclose)
         mp.setattr(algebraic, "_step", step)
+        # from the whole interval, not from a proposed cell or point
+        mp.setattr(algebraic, "_propose", lambda box: box)
         algebraic._REFINED.clear()
         s = sign_at(c, a)
     assert tested
