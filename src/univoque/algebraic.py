@@ -24,13 +24,16 @@ grid point (a dyadic root), ends the narrowing: the interval becomes that
 point, lo == hi, the exact rational root.  The polynomial stepped on is the
 defining one when it changes sign strictly over the isolating interval
 (a root of odd multiplicity); only a root of even multiplicity needs the
-square-free part.  Once a zero test has found a factor that vanishes at
-the root, the steps go on with that factor.  Which polynomial is stepped
-on changes only the cells a step visits, never the root they hold or an
-answer.  An interval over which not even the square-free part changes
-sign strictly, as when a root sits at an end, cannot be narrowed to its
-root: `_box` refuses it, so `refine` and `floor_at` raise there instead
-of answering for another root.
+square-free part.  A caller that knows a sparser multiple g a.poly, with
+g of one strict sign on the interval, hands it over by `refine_on`: the
+lacunary (x^k - 1) P of an approximant, whose evaluations skip its runs
+of zero coefficients.  Once a zero test has found a factor that vanishes
+at the root, the steps go on with that factor.  Which polynomial is
+stepped on changes only the cells a step visits, never the root they
+hold or an answer.  An interval over which not even the square-free part
+changes sign strictly, as when a root sits at an end, cannot be narrowed
+to its root: `_box` refuses it, so `refine` and `floor_at` raise there
+instead of answering for another root.
 
 Every exact decision at a root is one floor, `floor_at`: t = floor(c(r)/s)
 for an integer polynomial c, clipped to lo - 1..hi - 1, and whether
@@ -45,17 +48,21 @@ c - T s.  It finds c(r) = T s at once when the polynomial f that the box
 steps on divides c - T s, and otherwise when h, the square-free part of
 gcd(f, c - T s), changes sign over the box; then h becomes the box's f,
 so a later zero at that root costs one division.  Any other pass takes
-one step.  `sign_at` is the floor with the one threshold 0, and `refine`
+one step.  `sign_at` is the floor with the one threshold 0, and `cell`
 the floor of a linear polynomial, the index of the grid cell at the
-depth asked for: its answer for a width eps is the interval plain
+depth asked for: its answer for a width num/den is the interval plain
 bisection gives, that cell or, at a dyadic root, the thin interval
-bisection keeps around a midpoint root, in closed form.
+bisection keeps around a midpoint root, in closed form, as integers.
+The grid it cuts is any interval that holds the root, apart from the
+AlgebraicReal that keys the memo, so cells of successive grids share one
+box.  `refine` is `cell` of a's own grid under the key a, as Fractions.
 
 One bounded memo, `_REFINED`, keeps the tightest interval found for each
 root, a cell or a point, with the polynomial stepped on, its values at
 the interval's ends and its nq; it is the only cache in the exact core
-that outlives a call, and `floor_at` alone reads and writes it.  Each
-call starts from it and leaves its own tightest interval behind, so
+that outlives a call.  `floor_at` reads and writes it, and `refine_on`
+files a root's first box in it, also under the AlgebraicReal it returns.
+Each call starts from it and leaves its own tightest interval behind, so
 successive calls at one root share the work, and a dyadic root or a
 vanishing factor found by one call is known to the next; the memo never
 changes an AlgebraicReal or a result.  An AlgebraicReal hashes its
@@ -138,12 +145,15 @@ def algebraic_real(poly_coeffs, lo, hi) -> AlgebraicReal:
 
 class _Box(NamedTuple):
     """An isolating interval (lo/den, hi/den) in integer form, with f a
-    polynomial that changes sign at the root (a.poly, its square-free
-    part, or the vanishing factor a zero test found), vlo and vhi its
-    values den^deg f at lo/den and hi/den, and nq the number of subcells
-    the next QIR step splits the interval into.  A cell has lo < hi and
-    vlo, vhi of opposite signs; lo == hi is a point, the exact root, where
-    vlo = vhi = 0 and no step applies."""
+    polynomial that changes sign at the root, vlo and vhi its values
+    den^deg f at lo/den and hi/den, and nq the number of subcells the next
+    QIR step splits the interval into.  f is a.poly, its square-free part,
+    the vanishing factor a zero test found, or a multiple g a.poly whose
+    cofactor g has one strict sign on a's closed interval (`refine_on`):
+    in every case f has no root in the interval but r, and it changes sign
+    strictly at r.  A cell has lo < hi and vlo, vhi of opposite signs;
+    lo == hi is a point, the exact root, where vlo = vhi = 0 and no step
+    applies."""
 
     f: tuple
     lo: int
@@ -154,22 +164,23 @@ class _Box(NamedTuple):
     nq: int = 4
 
 
-def _grid(a: AlgebraicReal) -> tuple:
+def grid(a: AlgebraicReal) -> tuple:
     """a's interval as integer numerators (lo, hi) over one denominator."""
     den = lcm(a.lo.denominator, a.hi.denominator)
     return (a.lo.numerator * (den // a.lo.denominator),
             a.hi.numerator * (den // a.hi.denominator), den)
 
 
-def _box(a: AlgebraicReal) -> _Box:
-    """a's interval in integer form, bisected by a.poly itself when it
-    changes sign strictly over the interval.
+def _box(a: AlgebraicReal, f: tuple) -> _Box:
+    """a's interval in integer form, bisected by f, a.poly or a multiple of
+    it that has no other root in the interval, when f changes sign
+    strictly over the interval.
 
-    With one distinct root r inside, a.poly = (x - r)^k g with g of one
+    With one distinct root r inside, f = (x - r)^k g with g of one
     sign on the closed interval, so a strict sign change means k is odd:
-    a.poly then has the sign of (x - r) times a constant, like its
-    square-free part, and keeps the same halves.  No sign change (k even)
-    falls back to the square-free part, which changes sign strictly at r.
+    f then has the sign of (x - r) times a constant, like the square-free
+    part of a.poly, and keeps the same halves.  No sign change (k even)
+    falls back to that square-free part, which changes sign strictly at r.
     An interval where even that part has no strict sign change cannot be
     narrowed to r, and is refused: with `EndpointRootError` when a.poly
     vanishes at an end, and `DomainError` otherwise, when the interval
@@ -180,8 +191,7 @@ def _box(a: AlgebraicReal) -> _Box:
     several steps to gain those bits.  This is the box a root starts
     from when the memo holds none; a zero test in `floor_at` may later
     replace its f by a factor that vanishes at r."""
-    lo, hi, den = _grid(a)
-    f = a.poly
+    lo, hi, den = grid(a)
     vlo, vhi = pl.scaled_value(f, lo, den), pl.scaled_value(f, hi, den)
     if _sign(vlo) * _sign(vhi) >= 0:
         f = pl.squarefree_part(a.poly)
@@ -362,42 +372,90 @@ _REFINED: OrderedDict = OrderedDict()
 _REFINED_MAX = 256
 
 
+def _file(a: AlgebraicReal, box: _Box) -> None:
+    """Keep box as the memo's box for a, evicting the least recently used
+    entry past _REFINED_MAX."""
+    _REFINED[a] = box
+    if len(_REFINED) > _REFINED_MAX:
+        _REFINED.popitem(last=False)
+
+
+def cell(a: AlgebraicReal, lo0: int, hi0: int, den0: int, num: int,
+         den: int) -> tuple:
+    """(lo, hi, d): the interval plain bisection of the grid
+    (lo0/den0, hi0/den0) stops at around a's root r, at the first depth t
+    whose cells are no wider than num/den > 0, as integers over one
+    denominator d; at t = 0 the grid itself.
+
+    The grid is any interval that holds r strictly inside, such as one that
+    `refine` or `cell` returned for r; a is only the key of the memo's box,
+    so cells of many grids share one box.  With w = hi0 - lo0, cell i at
+    depth t is [lo0 2^t + i w, lo0 2^t + (i + 1) w] / (den0 2^t), so the
+    cell that holds r is i = floor(c(r) / w) for the linear
+    c(x) = 2^t (den0 x - lo0), 0 <= i < 2^t: `floor_at(c, w, a, 0, 2^t)`.
+    When c(r) is not i w, r lies strictly inside cell i, which bisection
+    keeps at every depth down to t: the answer is cell i.  When c(r) = i w,
+    r is grid point i (i > 0, as r is inside the grid), on the grid from
+    depth d0 = t - v2(i) on (a dyadic root).  Bisection meets r as a
+    midpoint at depth d0 and keeps a thin interval centred on it, which
+    each further bisection narrows to a quarter: the answer has half-width
+    w / (den0 2^e), e = d0 + 2 + 2 ((t - d0) // 2) > t, in closed form.
+    """
+    w = hi0 - lo0
+    # the least t with w / (den0 2^t) <= num / den
+    t = (-(-w * den // (num * den0)) - 1).bit_length()
+    if t == 0:
+        return lo0, hi0, den0
+    i, exact = floor_at((-lo0 << t, den0 << t), w, a, 0, 1 << t)
+    lo = (lo0 << t) + i * w
+    if not exact:
+        return lo, lo + w, den0 << t
+    d0 = t - ((i & -i).bit_length() - 1)
+    e = d0 + 2 + 2 * ((t - d0) // 2)
+    r = lo << (e - t)
+    return r - w, r + w, den0 << e
+
+
 def refine(a: AlgebraicReal, eps) -> AlgebraicReal:
     """Shrink the isolating interval to width <= eps; same root, new value.
 
     The result is the interval plain bisection of a's interval stops at,
-    at the first depth t whose cells are no wider than eps.  It is one
-    floor.  With a's interval (lo0/den0, hi0/den0) and w = hi0 - lo0, cell
-    i at depth t is [lo0 2^t + i w, lo0 2^t + (i + 1) w] / (den0 2^t), so
-    the cell that holds the root r is i = floor(c(r) / w) for the linear
-    c(x) = 2^t (den0 x - lo0), 0 <= i < 2^t: `floor_at(c, w, a, 0, 2^t)`.
-    When c(r) is not i w, r lies strictly inside cell i, which bisection
-    keeps at every depth down to t: the answer is cell i.  When c(r) = i w,
-    r is grid point i (i > 0, as `_box` refuses a root at an end), on the
-    grid from depth d0 = t - v2(i) on (a dyadic root).  Bisection meets r
-    as a midpoint at depth d0 and keeps a thin interval centred on it,
-    which each further bisection narrows to a quarter: the answer has
-    half-width w / (den0 2^(d0 + 2 + 2k)), k = (t - d0) // 2, in closed
-    form.
+    at the first depth whose cells are no wider than eps: `cell` of a's
+    own grid, under the key a, as Fractions.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
-    lo0, hi0, den0 = _grid(a)
-    w = hi0 - lo0
-    # the least t with w / (den0 2^t) <= eps
-    t = (-(-w * eps.denominator // (eps.numerator * den0)) - 1).bit_length()
-    if t == 0:
+    g = grid(a)
+    lo, hi, den = cell(a, *g, eps.numerator, eps.denominator)
+    if (lo, hi, den) == g:
         return a
-    i, exact = floor_at((-lo0 << t, den0 << t), w, a, 0, 1 << t)
-    lo = (lo0 << t) + i * w
-    if exact:
-        d0 = t - ((i & -i).bit_length() - 1)
-        r = Fraction(lo, den0 << t)
-        h = Fraction(w, den0 << (d0 + 2 + 2 * ((t - d0) // 2)))
-        return AlgebraicReal(a.poly, r - h, r + h)
-    return AlgebraicReal(a.poly, Fraction(lo, den0 << t),
-                         Fraction(lo + w, den0 << t))
+    return AlgebraicReal(a.poly, Fraction(lo, den), Fraction(hi, den))
+
+
+def refine_on(a: AlgebraicReal, g: tuple, eps) -> AlgebraicReal:
+    """refine(a, eps), whose steps at a's root, when the memo holds no box
+    for a, start on the multiple g a.poly if the integer polynomial g has
+    one strict sign on a's closed interval, and on a.poly otherwise.  The
+    box is filed under the AlgebraicReal returned too, unless the memo
+    holds one for it already, so later calls with either start from there.
+
+    A strict sign of g is read off its enclosure (`_enclose`) over the
+    interval.  g a.poly then has a.poly's roots there and no other, and at
+    every point the sign of a.poly times that of g, so it changes sign at r
+    where a.poly does; the steps visit other cells, as the secant differs,
+    but every answer is the same.  A sparse multiple is cheaper to evaluate
+    than a.poly, as (x^k - 1) P is for a P whose coefficients repeat with
+    period k."""
+    if a not in _REFINED:
+        lo, hi, den = grid(a)
+        low, high = _enclose(g, lo, hi, den)
+        f = pl.multiply(g, a.poly) if low > 0 or high < 0 else a.poly
+        _file(a, _box(a, f))
+    r = refine(a, eps)
+    if r not in _REFINED:
+        _file(r, _REFINED[a])
+    return r
 
 
 def _enclose(c: tuple, lo: int, hi: int, den: int) -> tuple:
@@ -468,14 +526,18 @@ def floor_at(c, s: int, a: AlgebraicReal, lo: int, hi: int) -> tuple:
     [A, B], as c(0) can be an end of it (x^2 over (-1, 2) has A = 0).
 
     With one T left, once the cell is narrower than 2^-(b + 32), b the bit
-    size of the largest coefficient of c - T s, one zero test runs.  When
-    f, the polynomial the box steps on (a factor of a.poly with the root),
-    divides c - T s, c(r) = T s.  Otherwise
-    h = squarefree_part(gcd(f, c - T s)) divides a.poly and the cell
-    isolates one distinct root of a.poly, so a root of h inside it is r,
-    simple in h: c(r) = T s exactly when h changes sign strictly over the
-    cell, and h becomes the box's f.  Any other pass takes one step
-    (`_step`), which narrows the enclosure until it excludes T.
+    size of the largest coefficient of c - T s, one zero test runs.  The
+    polynomial f the box steps on vanishes at r and has no other root in
+    a's closed interval, which holds the cell (`_Box`; for a multiple
+    g a.poly, g has one strict sign there).  When f divides c - T s,
+    c(r) = T s.  Otherwise let h = squarefree_part(gcd(f, c - T s)).  h
+    divides f, so the only root h can have in the closed cell is r, and a
+    simple one, as h is square-free; so h changes sign strictly over the
+    cell exactly when h(r) = 0.  And h(r) = 0 exactly when x - r divides
+    both f and c - T s, that is when c(r) = T s, as f(r) = 0.  Then h
+    vanishes at r with no other root in the interval, and becomes the
+    box's f.  Any other pass takes one step (`_step`), which narrows the
+    enclosure until it excludes T.
 
     Each call starts from the tightest box found for an equal AlgebraicReal
     and leaves its own behind in a bounded memo; a itself is never changed.
@@ -484,7 +546,7 @@ def floor_at(c, s: int, a: AlgebraicReal, lo: int, hi: int) -> tuple:
     c = pl.poly(c)
     if len(c) <= 1:
         return _clip(c[0] if c else 0, s, lo, hi)
-    box = _REFINED.pop(a, None) or _box(a)
+    box = _REFINED.pop(a, None) or _box(a, a.poly)
     tested = False
     try:
         while True:
@@ -514,9 +576,7 @@ def floor_at(c, s: int, a: AlgebraicReal, lo: int, hi: int) -> tuple:
                         return first, True
             box = _step(box)
     finally:
-        _REFINED[a] = box
-        if len(_REFINED) > _REFINED_MAX:
-            _REFINED.popitem(last=False)
+        _file(a, box)
 
 
 def sign_at(c, a: AlgebraicReal) -> int:

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import AlgebraicReal, refine
+from .algebraic import AlgebraicReal, cell, grid
 from .characterization import (NotInClosureError, UnivoqueCertificate,
                                classify, find_m)
-from .expansions import solve_base
+from .expansions import solve_base, solve_lacunary_base
 from .words import (EPSequence, complement_word, ep_sequence, format_word,
                     word)
 
@@ -100,44 +100,66 @@ def _gamma(s: EPSequence, k: int, m: int, N: int) -> EPSequence:
 _GAP_SHRINK = 10
 
 
-def _gap_bound(target: AlgebraicReal, base: AlgebraicReal) -> tuple:
-    """Refine both enclosures until the reported gap dominates the interval
-    slack, then return (gap, target, base).
+def _gap_bound(target: AlgebraicReal, t_grid: tuple,
+               base: AlgebraicReal) -> tuple:
+    """Cut both enclosures until the reported gap dominates the interval
+    slack, then return (gap, target cell, base cell), each cell an integer
+    triple (lo, hi, den).
 
-    Each round refines the inputs themselves, so `refine` continues from
-    the cells its memo keeps for them.  w strictly decreases, so the
-    intervals are the ones refining the last round's would give."""
-    w = Fraction(1, 16)
+    Each round cuts, at one width w, cells of the same two grids: t_grid,
+    an interval that holds the target root, and base's own interval.
+    `cell` answers under the keys target and base, so it continues from the
+    boxes its memo keeps for them.  w strictly decreases, so the cells are
+    the ones cutting the last round's would give.  The rounds run on
+    integers: with cells (tlo, thi, tden) and (blo, bhi, bden) the gap is
+    thi/tden - blo/bden, and the test w <= gap / 10 and the next
+    w = gap / 20 are cross-multiplied; only the gap returned is a
+    Fraction."""
+    b_grid = grid(base)
+    wn, wd = 1, 16
     while True:
-        t, b = refine(target, w), refine(base, w)
-        gap = t.hi - b.lo
-        if gap > 0 and w <= gap / _GAP_SHRINK:
-            return gap, t, b
-        w = gap / (2 * _GAP_SHRINK) if gap > 0 else w / 16
+        tc = cell(target, *t_grid, wn, wd)
+        bc = cell(base, *b_grid, wn, wd)
+        # gap = gn / gd
+        gn, gd = tc[1] * bc[2] - bc[0] * tc[2], tc[2] * bc[2]
+        if gn > 0 and _GAP_SHRINK * wn * gd <= gn * wd:
+            return Fraction(gn, gd), tc, bc
+        wn, wd = (gn, 2 * _GAP_SHRINK * gd) if gn > 0 else (wn, 16 * wd)
+
+
+def _interval(a: AlgebraicReal, c: tuple) -> AlgebraicReal:
+    """a's root on the cell c = (lo, hi, den)."""
+    lo, hi, den = c
+    return AlgebraicReal(a.poly, Fraction(lo, den), Fraction(hi, den))
 
 
 def approximate(alpha, n_from: int | None = None, n_to: int | None = None):
     """Run the full pipeline for N = n_from..n_to, returning one certified
     ApproximationRecord per N (ordered by N).  n_from defaults to the least
-    N with k N >= m, and n_to to n_from.  The target is checked once, before
-    the range; each gamma_N is then built from (s, m)."""
+    N with k N >= m, and n_to to n_from.  The target is checked and solved
+    once, before the range: its AlgebraicReal stays the one key of its
+    memo box, and each N cuts its cells from the target cell the N before
+    reported.  Each gamma_N is built from (s, m), and its base steps on
+    (x^k - 1) P (`solve_lacunary_base`)."""
     s, k, m = _target(alpha)
     n_from = -(-m // k) if n_from is None else n_from
     n_to = n_from if n_to is None else n_to
     if n_to < n_from:
         raise ValueError("empty N range")
     target = solve_base(s)
+    t_cell = grid(target)
     records = []
     for n in range(n_from, n_to + 1):
         gamma = _gamma(s, k, m, n)
-        base = solve_base(gamma)
+        base = solve_lacunary_base(gamma, k)
         cert = classify(gamma)
         if not cert.is_univoque:
             raise RuntimeError(
                 "internal error: constructed sequence failed the "
                 "univoqueness certificate at N = %d" % n)
-        gap, target, base = _gap_bound(target, base)
+        gap, t_cell, b_cell = _gap_bound(target, t_cell, base)
         records.append(ApproximationRecord(
-            alpha=word(alpha), k=k, m=m, N=n, gamma=gamma, base=base,
-            certificate=cert, target_base=target, gap=gap))
+            alpha=word(alpha), k=k, m=m, N=n, gamma=gamma,
+            base=_interval(base, b_cell), certificate=cert,
+            target_base=_interval(target, t_cell), gap=gap))
     return records

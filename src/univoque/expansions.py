@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import polynomials as pl
-from .algebraic import AlgebraicReal, DomainError, floor_at, refine, sign_at
+from .algebraic import (AlgebraicReal, DomainError, floor_at, refine_on,
+                        sign_at)
 from .characterization import check_greedy_admissible
 from .words import EPSequence, ep_sequence, word
 
@@ -89,8 +90,28 @@ def solve_base(s: EPSequence) -> AlgebraicReal:
     t = 1..64, with P(lo) < 0.  These probes are the certificate:
     P(lo) < 0 < P(hi) means that P has exactly one root in (lo, hi) and
     that it is simple, so no Sturm count and no square-free part are
-    needed.  A P that is not positive at hi raises RuntimeError.
+    needed.  A P that is not positive at hi raises RuntimeError.  The
+    bracket is cut to width 1/2 by `refine_on`, whose box is filed under
+    the AlgebraicReal returned.
     """
+    return _solve_base(s, (1,))
+
+
+def solve_lacunary_base(s: EPSequence, k: int) -> AlgebraicReal:
+    """solve_base(s), for an s whose preperiod repeats one block of length
+    k: the same AlgebraicReal, whose steps run on S = (x^k - 1) P.
+
+    Where the digits repeat with period k, the coefficients of P do too,
+    and the factor x^k - 1 cancels them: a preperiod of N blocks leaves S
+    a run of about k N zero coefficients, which `scaled_value` skips, where
+    P is dense.  x^k - 1 > 0 right of 1, where the whole bracket lies, so
+    S has P's sign at every point a step evaluates."""
+    return _solve_base(s, (-1,) + (0,) * (k - 1) + (1,))
+
+
+def _solve_base(s: EPSequence, g: tuple) -> AlgebraicReal:
+    """`solve_base`, whose steps run on g P for a g that is positive right
+    of 1."""
     if s.is_finite() and sum(s.preperiod) < 2:
         raise NoBaseError("digit sum < 2: no base q > 1 exists")
     p = poly_from_sequence(s)
@@ -101,10 +122,11 @@ def solve_base(s: EPSequence) -> AlgebraicReal:
         raise RuntimeError("internal error: the defining polynomial does "
                            "not change sign from - to + over (1, %d)" % hi)
     for t in range(1, 65):
-        # 1 + 2^-t < hi always; a probe at the root itself steps closer to 1
+        # 1 + 2^-t < hi always, and never a root: P is monic, so its
+        # rational roots are integers
         if pl.scaled_value(p, 2 ** t + 1, 2 ** t) < 0:
-            return refine(AlgebraicReal(p, 1 + Fraction(1, 2 ** t), hi),
-                          Fraction(1, 2))
+            return refine_on(AlgebraicReal(p, 1 + Fraction(1, 2 ** t), hi),
+                             g, Fraction(1, 2))
     raise NoBaseError("no bracket found left of the root")
 
 

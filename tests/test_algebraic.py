@@ -746,6 +746,49 @@ def test_an_algebraic_real_hashes_its_fractions_once(monkeypatch):
     assert calls == [F(1), F(2)]
 
 
+# --- steps on a multiple ----------------------------------------------------
+
+@pytest.mark.parametrize("g, multiple", [
+    ((1, 0, 1), True),            # x^2 + 1 > 0
+    ((1, 0, -4), True),           # 1 - 4x^2 < 0 on [1, 2]
+    ((9, -12, 4), False),         # (2x - 3)^2 >= 0, but 0 at 3/2, inside
+    ((-1, 1), False),             # x - 1 is 0 at the end 1
+    ((-3, 0, 1), False),          # x^2 - 3 changes sign at sqrt 3
+])
+@pytest.mark.parametrize("proposal", [True, False])
+def test_a_multiple_is_stepped_on_only_where_its_cofactor_has_one_sign(
+        monkeypatch, g, multiple, proposal):
+    """sqrt 2 on (1, 2): `refine_on` steps on g P only when g has one
+    strict sign on the closed interval, and otherwise on P; either way the
+    answer is plain bisection's, and the box is filed under the result.
+    From the whole interval, stepping on (2x - 3)^2 P would find its root
+    3/2 at the first midpoint."""
+    if not proposal:
+        _hold_the_proposal(monkeypatch)
+    a = AlgebraicReal((-2, 0, 1), F(1), F(2))
+    eps = F(1, 2 ** 40)
+    algebraic._REFINED.clear()
+    r = algebraic.refine_on(a, g, eps)
+    assert r == _bisection_refine(a, eps)
+    assert algebraic._REFINED[r].f == \
+        (pl.multiply(g, a.poly) if multiple else a.poly)
+
+
+def test_cell_cuts_any_grid_that_holds_the_root_under_one_key():
+    """`cell` with the key a and the grid of an interval refine returned
+    for a's root gives that interval's own refine, as integers; at the
+    dyadic root 3/2 it is the thin interval in closed form."""
+    for poly, lo, hi in ((TRIB, 1, 2), (_mul((-3, 2), (1, 0, 1)), 1, 2)):
+        a = AlgebraicReal(poly, F(lo), F(hi))
+        algebraic._REFINED.clear()
+        b = refine(a, F(1, 2 ** 30))
+        for k in (10, 45, 200):
+            lo, hi, den = algebraic.cell(a, *algebraic.grid(b), 1, 2 ** k)
+            assert AlgebraicReal(poly, F(lo, den), F(hi, den)) == \
+                _bisection_refine(b, F(1, 2 ** k))
+        assert list(algebraic._REFINED) == [a]
+
+
 # --- the proposed first cell -------------------------------------------------
 
 def test_the_first_box_is_a_proposed_cell_or_point_of_the_grid():
@@ -753,8 +796,8 @@ def test_the_first_box_is_a_proposed_cell_or_point_of_the_grid():
     below the root's magnitude, that a float estimate proposed, split into
     2^16 subcells by its first step; at a dyadic root it is that point."""
     a = algebraic_real(TRIB, 1, 2)
-    box = algebraic._box(a)
-    lo0, hi0, den0 = algebraic._grid(a)
+    box = algebraic._box(a, a.poly)
+    lo0, hi0, den0 = algebraic.grid(a)
     t = box.den.bit_length() - den0.bit_length()
     assert box.den == den0 << t and t == 44
     assert box.hi - box.lo == hi0 - lo0
@@ -762,7 +805,7 @@ def test_the_first_box_is_a_proposed_cell_or_point_of_the_grid():
     assert box.nq == 1 << 16
     assert box.vlo < 0 < box.vhi
     b = algebraic_real(_mul((-3, 2), (1, 0, 1)), 1, 2)
-    box = algebraic._box(b)
+    box = algebraic._box(b, b.poly)
     assert _point(box) == F(3, 2)
 
 
@@ -774,7 +817,7 @@ def test_a_steep_root_is_proposed_on_either_side_of_0():
     n = 1101
     for sign, lo, hi in ((1, 1, 2), (-1, -2, -1)):
         a = algebraic_real((-3 * sign,) + (0,) * (n - 1) + (1,), lo, hi)
-        box = algebraic._box(a)
+        box = algebraic._box(a, a.poly)
         assert box.nq == 1 << 16 and box.hi - box.lo == 1
         # the root is sign 3^(1/1101) = sign 1.000998...
         assert sign_at((-10009 * sign, 10000), a) == sign
@@ -791,8 +834,8 @@ def test_a_box_narrower_than_a_float_resolves_takes_no_proposal(monkeypatch):
     monkeypatch.setattr(pl, "scaled_value",
                         lambda *args: calls.append(args) or real(*args))
     monkeypatch.setattr(algebraic, "_float_root", lambda box: 1 / 0)
-    box = algebraic._box(r)
-    assert (box.lo, box.hi, box.den) == algebraic._grid(r) and box.nq == 4
+    box = algebraic._box(r, r.poly)
+    assert (box.lo, box.hi, box.den) == algebraic.grid(r) and box.nq == 4
     assert len(calls) == 2
 
 
@@ -805,7 +848,7 @@ def test_a_wrong_float_estimate_is_refused_by_the_end_check(monkeypatch):
     monkeypatch.setattr(algebraic, "_float_root",
                         lambda box: real(box) + 2.0 ** -30)
     algebraic._REFINED.clear()
-    assert algebraic._box(a)[1:4] == algebraic._grid(a)
+    assert algebraic._box(a, a.poly)[1:4] == algebraic.grid(a)
     for b in (10, 50, 200):
         assert refine(a, F(1, 2 ** b)) == _bisection_refine(a, F(1, 2 ** b))
     assert sign_at((-7, 4), a) == 1 and sign_at((-13, 7), a) == -1
@@ -818,7 +861,7 @@ def test_an_ill_conditioned_root_falls_back_to_the_whole_interval():
     K = 2 ** 30
     a = algebraic_real((-27 * K - 1, 54 * K, -36 * K, 8 * K), 1, 2)
     algebraic._REFINED.clear()
-    assert algebraic._box(a)[1:4] == algebraic._grid(a)
+    assert algebraic._box(a, a.poly)[1:4] == algebraic.grid(a)
     for b in (20, 60, 150):
         assert refine(a, F(1, 2 ** b)) == _bisection_refine(a, F(1, 2 ** b))
 

@@ -1,15 +1,17 @@
 """The certified approximant construction and its convergence behaviour."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from univoque import algebraic, approximator
 from univoque.algebraic import refine
 from univoque.approximator import (NTooSmallError, NotInClosureError,
                                    approximate)
 from univoque.characterization import classify
-from univoque.expansions import poly_from_sequence
+from univoque.expansions import poly_from_sequence, solve_base
 from univoque.words import LT, ep_sequence, lex_compare
 from univoque import polynomials as pl
 
@@ -165,3 +167,75 @@ def test_a_round_of_approximants_takes_few_exact_evaluations(monkeypatch):
         assert all(r.gap > 0 for r in records)
     assert counts["_step"] <= 80
     assert counts["scaled_value"] <= 400
+
+
+def _fraction_gap_bound(target, base):
+    """The parent's rounds of `_gap_bound`, on Fractions by `refine`, each
+    N handing its reported target on: the reference for the integer
+    rounds under one target key."""
+    w = F(1, 16)
+    while True:
+        t, b = refine(target, w), refine(base, w)
+        gap = t.hi - b.lo
+        if gap > 0 and w <= gap / 10:
+            return gap, t, b
+        w = gap / 20 if gap > 0 else w / 16
+
+
+def _fraction_approximants(alpha, n_from, n_to):
+    s, k, m = approximator._target(alpha)
+    target = solve_base(s)
+    out = []
+    for n in range(n_from, n_to + 1):
+        base = solve_base(approximator._gamma(s, k, m, n))
+        gap, target, base = _fraction_gap_bound(target, base)
+        out.append((gap, target, base))
+    return out
+
+
+def _closure_targets():
+    """Every primitive closure-admissible word of 1 to 5 digits up to 2."""
+    out = []
+    for n in range(1, 6):
+        for w in itertools.product(range(3), repeat=n):
+            try:
+                s, k, m = approximator._target(w)
+            except NotInClosureError:
+                continue
+            if k == n:
+                out.append(w)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_closure_targets()), st.integers(0, 12),
+       st.integers(0, 3))
+@example(alpha=(1,), skip=0, span=3)        # a dyadic target, q = 2
+@example(alpha=(2,), skip=0, span=3)        # q = 3
+@example(alpha=(2, 1, 0), skip=5, span=2)
+def test_integer_gap_rounds_match_the_fraction_rounds(alpha, skip, span):
+    """Random closure targets and N ranges: every gap, base interval and
+    target interval of `approximate` equals the one the Fraction rounds
+    give, on a cold memo each."""
+    s, k, m = approximator._target(alpha)
+    n_from = -(-m // k) + skip
+    algebraic._REFINED.clear()
+    want = _fraction_approximants(alpha, n_from, n_from + span)
+    algebraic._REFINED.clear()
+    got = [(r.gap, r.target_base, r.base)
+           for r in approximate(alpha, n_from, n_from + span)]
+    assert got == want
+
+
+def test_the_target_box_is_built_once(monkeypatch):
+    """The target's first AlgebraicReal is the one key of its memo box, so
+    N = 10..15 builds that box once (each N's reported target as the key
+    built it 6 times)."""
+    target = solve_base(ep_sequence((), (1, 1, 0)))
+    built = []
+    real = algebraic._box
+    monkeypatch.setattr(algebraic, "_box",
+                        lambda a, *f: built.append(a.poly) or real(a, *f))
+    algebraic._REFINED.clear()
+    approximate((1, 1, 0), 10, 15)
+    assert built.count(target.poly) == 1

@@ -67,6 +67,41 @@ def test_solve_base_examples():
         1.8392867552, abs=1e-6)
 
 
+def test_solve_base_files_its_box_under_the_base_it_returns(monkeypatch):
+    """The bracket (3/2, 4) is cut to (27/8, 59/16); the memo keeps the
+    box under that returned base too, where the next floor at it looks, and
+    a second solve finds both: one `_box` in all."""
+    built = []
+    real = algebraic._box
+    monkeypatch.setattr(algebraic, "_box",
+                        lambda a, *f: built.append(a) or real(a, *f))
+    algebraic._REFINED.clear()
+    s = ep_sequence((3, 2, 1, 3), (0,))
+    a = solve_base(s)
+    assert (a.lo, a.hi) == (F(27, 8), F(59, 16))
+    assert a in algebraic._REFINED
+    sign_at((-7, 2), a)
+    assert solve_base(s) == a
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("alpha, n", [((1, 1, 0), 20), ((2, 1, 0), 7),
+                                      ((1,), 12)])
+def test_a_lacunary_base_is_solve_base_stepping_on_its_multiple(alpha, n):
+    """For gamma_N the base is the same AlgebraicReal, and its box steps on
+    (x^k - 1) P."""
+    from univoque.approximator import _gamma, _target
+    s, k, m = _target(alpha)
+    gamma = _gamma(s, k, m, n)
+    algebraic._REFINED.clear()
+    a = expansions.solve_lacunary_base(gamma, k)
+    assert a == solve_base(gamma)
+    algebraic._REFINED.clear()
+    expansions.solve_lacunary_base(gamma, k)
+    assert algebraic._REFINED[a].f == \
+        pl.multiply((-1,) + (0,) * (k - 1) + (1,), a.poly)
+
+
 def test_solve_base_needs_digit_sum_two():
     with pytest.raises(NoBaseError):
         solve_base(ep_sequence((1,), (0,)))

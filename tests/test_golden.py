@@ -72,6 +72,21 @@ def test_deep_approximants_are_unchanged_and_fast():
     assert elapsed < 4.0
 
 
+# sha256 of the stdout of `approximate 110 --from 2 --to 160 --json`, as the
+# steps on the lacunary multiple (x^3 - 1) P of each q_N printed it
+APPROXIMATE_110_TO_160 = \
+    "4bc56fe759a12d5f029448c3e150bb1b057aed6e286ee2fa0b3714bee6b10d0d"
+
+
+def test_deeper_approximants_are_unchanged_and_fast():
+    """N = 160, a root of degree 486, to a gap near 2^-427, in a fresh
+    process: the output is byte-identical and takes under 2 s."""
+    out, elapsed = _fresh("approximate", "110", "--from", "2", "--to", "160",
+                          "--json")
+    assert hashlib.sha256(out).hexdigest() == APPROXIMATE_110_TO_160
+    assert elapsed < 2.0
+
+
 # sha256 of the stdout of `kl --eps 1e-300 --json`, as the enclosure by one
 # Horner step per prefix term printed it
 KL_1E_300 = \

@@ -67,6 +67,72 @@ def test_scaled_value_matches_the_loop_over_powers_of_d(p, n, u, e):
     assert pl.scaled_value(p, n, d) == _scaled_value_by_powers_of_d(p, n, d)
 
 
+def _scaled_value_dense(p, n, d):
+    """scaled_value's loop over every coefficient, with d = u 2^e split
+    once: the reference for its loop over the terms of a lacunary p."""
+    e = (d & -d).bit_length() - 1
+    u = d >> e
+    acc, uk, shift = 0, 1, 0
+    for c in reversed(p):
+        acc = acc * n + (c * uk << shift)
+        uk *= u
+        shift += e
+    return acc
+
+
+@st.composite
+def lacunary_polys(draw):
+    """Up to 600 coefficients of up to 80 bits, a drawn share of them 0
+    (none, some, most or all), so that both loops of scaled_value run, over
+    runs of zeros at the top, inside and at the bottom."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    share = draw(st.sampled_from((0.0, 0.3, 0.5, 0.7, 0.95, 0.99, 1.0)))
+    bits = draw(st.integers(1, 80))
+    return tuple(0 if rng.random() < share
+                 else rng.choice((-1, 1)) * rng.randint(1, 2 ** bits)
+                 for _ in range(draw(st.integers(0, 600))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lacunary_polys(),
+       st.one_of(st.just(0), st.integers(-2 ** 300, 2 ** 300)),
+       st.sampled_from((1, 3, 5, 2 ** 40 + 1)), st.integers(0, 300))
+@example(p=(0, 0, 0, 5, 0, 0, -1), n=-3, u=1, e=4)
+@example(p=(0, 0, 0, 5, 0, 0, -1), n=0, u=7, e=0)
+@example(p=(-1, 0, 0, 1), n=7, u=3, e=2)
+@example(p=(0, 0), n=7, u=1, e=0)
+def test_scaled_value_over_terms_matches_the_dense_loop(p, n, u, e):
+    """Sparse and dense p, n negative, 0 and positive, d = u 2^e dyadic
+    (u = 1) and odd (e = 0) or mixed: the loop over the terms of a
+    lacunary p gives the dense loop's integer."""
+    d = u << e
+    assert pl.scaled_value(p, n, d) == _scaled_value_dense(p, n, d)
+
+
+def test_the_lacunary_multiple_of_an_approximant_is_sparse():
+    """(x^3 - 1) P for the approximant of 110 at N = 40 has 10 nonzero
+    coefficients of 130, so scaled_value takes its loop over the terms,
+    while P, with most coefficients nonzero, keeps the dense loop; the
+    values differ by the factor x^3 - 1 alone."""
+    from univoque.approximator import _gamma, _target
+    from univoque.expansions import poly_from_sequence
+    s, k, m = _target((1, 1, 0))
+    P = poly_from_sequence(_gamma(s, k, m, 40))
+    S = pl.multiply((-1, 0, 0, 1), P)
+    assert (len(S), len(S) - S.count(0)) == (130, 10)
+    assert 2 * P.count(0) < len(P)
+    for x in (3, 7):
+        assert pl.scaled_value(S, x, 2) == \
+            (x ** 3 - 8) * pl.scaled_value(P, x, 2)
+
+
+def test_multiply_matches_sympy():
+    for a, b in (((1, 2), (3, -1, 4)), ((-1, 0, 0, 1), (5, 0, -2)),
+                 ((), (1, 1)), ((7,), (0, 0, 3))):
+        want = _coeffs(sympy.Poly(_sympy(a) * _sympy(b), X, domain=sympy.QQ))
+        assert pl.multiply(a, b) == tuple(int(c) for c in want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(polys, nonzero)
 def test_divmod_matches_sympy_div(a, b):
