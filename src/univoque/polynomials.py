@@ -39,34 +39,24 @@ def scaled_value(p: tuple, n: int, d: int) -> int:
     It has the sign of p(n/d).  For polynomials of one length at points
     over one denominator d, these values compare like the values of the
     polynomials themselves.  Horner's rule on the homogenized form
-    sum p_i n^i d^(k-i) needs no Fraction and no gcd.  With d = u 2^e,
+    sum p_i n^i d^(k-i) needs no Fraction and no gcd.  It runs over the
+    nonzero terms alone: the Horner steps over a run of g zero
+    coefficients are one power n^(g + 1), so a lacunary multiple
+    (x^k - 1) P costs its few terms, not its degree.  With d = u 2^e,
     u odd, split once, the power d^j that scales the j-th coefficient from
     the top is u^j shifted left by e j: at a dyadic point (u = 1) no power
-    of d is multiplied at all, and otherwise only the powers of u are.
-
-    A p with more zero coefficients than nonzero ones, such as a lacunary
-    multiple (x^k - 1) P, takes a loop over its terms alone: the Horner
-    steps over a run of g zeros are one power n^(g + 1), and each term's
-    u^j is one power too.  A denser p keeps the loop over every
-    coefficient, where each step is one product.
+    of d is multiplied at all.
     """
+    if not p:
+        return 0
     e = (d & -d).bit_length() - 1
     u = d >> e
-    if 2 * p.count(0) > len(p):
-        acc = last = 0
-        for j, c in enumerate(reversed(p)):
-            if c:
-                acc = acc * n ** (j - last) + (c * u ** j << e * j)
-                last = j
-        return acc * n ** (len(p) - 1 - last)
-    acc = 0
-    uk = 1
-    shift = 0
-    for c in reversed(p):
-        acc = acc * n + (c * uk << shift)
-        uk *= u
-        shift += e
-    return acc
+    acc = last = 0
+    for j, c in enumerate(reversed(p)):
+        if c:
+            acc = acc * n ** (j - last) + (c * u ** j << e * j)
+            last = j
+    return acc * n ** (len(p) - 1 - last)
 
 
 def multiply(a: tuple, b: tuple) -> tuple:

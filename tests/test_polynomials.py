@@ -68,8 +68,8 @@ def test_scaled_value_matches_the_loop_over_powers_of_d(p, n, u, e):
 
 
 def _scaled_value_dense(p, n, d):
-    """scaled_value's loop over every coefficient, with d = u 2^e split
-    once: the reference for its loop over the terms of a lacunary p."""
+    """A Horner loop over every coefficient, with d = u 2^e split once:
+    the reference for scaled_value's loop over the nonzero terms."""
     e = (d & -d).bit_length() - 1
     u = d >> e
     acc, uk, shift = 0, 1, 0
@@ -83,8 +83,8 @@ def _scaled_value_dense(p, n, d):
 @st.composite
 def lacunary_polys(draw):
     """Up to 600 coefficients of up to 80 bits, a drawn share of them 0
-    (none, some, most or all), so that both loops of scaled_value run, over
-    runs of zeros at the top, inside and at the bottom."""
+    (none, some, most or all), so that scaled_value skips runs of zeros at
+    the top, inside and at the bottom, and dense runs too."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     share = draw(st.sampled_from((0.0, 0.3, 0.5, 0.7, 0.95, 0.99, 1.0)))
     bits = draw(st.integers(1, 80))
@@ -101,26 +101,29 @@ def lacunary_polys(draw):
 @example(p=(0, 0, 0, 5, 0, 0, -1), n=0, u=7, e=0)
 @example(p=(-1, 0, 0, 1), n=7, u=3, e=2)
 @example(p=(0, 0), n=7, u=1, e=0)
+@example(p=(0, 0, 0, -5), n=3, u=3, e=1)
+@example(p=(), n=0, u=1, e=0)
 def test_scaled_value_over_terms_matches_the_dense_loop(p, n, u, e):
-    """Sparse and dense p, n negative, 0 and positive, d = u 2^e dyadic
-    (u = 1) and odd (e = 0) or mixed: the loop over the terms of a
-    lacunary p gives the dense loop's integer."""
+    """Sparse and dense p, a monomial (its only term is the top) and the
+    zero polynomial; n negative, 0 and positive; d = u 2^e dyadic (u = 1),
+    odd (e = 0) or mixed: the loop over the terms gives the dense loop's
+    integer."""
     d = u << e
     assert pl.scaled_value(p, n, d) == _scaled_value_dense(p, n, d)
 
 
 def test_the_lacunary_multiple_of_an_approximant_is_sparse():
     """(x^3 - 1) P for the approximant of 110 at N = 40 has 10 nonzero
-    coefficients of 130, so scaled_value takes its loop over the terms,
-    while P, with most coefficients nonzero, keeps the dense loop; the
-    values differ by the factor x^3 - 1 alone."""
+    coefficients of 130, so scaled_value takes 10 steps on it, where P has
+    85 nonzero coefficients of 127; the values differ by the factor
+    x^3 - 1 alone."""
     from univoque.approximator import _gamma, _target
     from univoque.expansions import poly_from_sequence
     s, k, m = _target((1, 1, 0))
     P = poly_from_sequence(_gamma(s, k, m, 40))
     S = pl.multiply((-1, 0, 0, 1), P)
     assert (len(S), len(S) - S.count(0)) == (130, 10)
-    assert 2 * P.count(0) < len(P)
+    assert (len(P), len(P) - P.count(0)) == (127, 85)
     for x in (3, 7):
         assert pl.scaled_value(S, x, 2) == \
             (x ** 3 - 8) * pl.scaled_value(P, x, 2)
