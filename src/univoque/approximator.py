@@ -88,11 +88,13 @@ def _gamma(s: EPSequence, k: int, m: int, N: int) -> EPSequence:
     gamma = ep_sequence(s.period * N,
                         alpha_m + complement_word(alpha_m, s.digit(1)))
     # the construction leaves the first m + kN digits of the target intact
-    for i in range(1, m + k * N + 1):
-        if gamma.digit(i) != s.digit(i):
-            raise RuntimeError(
-                "internal error: gamma differs from the target at digit "
-                "%d of the first m + kN = %d" % (i, m + k * N))
+    n = m + k * N
+    g, t = gamma.prefix(n), s.prefix(n)
+    if g != t:
+        i = next(i for i in range(n) if g[i] != t[i])
+        raise RuntimeError(
+            "internal error: gamma differs from the target at digit "
+            "%d of the first m + kN = %d" % (i + 1, n))
     return gamma
 
 

@@ -4,13 +4,20 @@ A Word is a tuple of nonnegative integers.  An EPSequence is a canonical
 (preperiod, period) pair: the period is primitive and the preperiod is as
 short as possible, which makes structural equality coincide with equality
 of the represented infinite sequences.
+
+Each whole-word operation is one call into C, never a loop over digits in
+Python: a word is validated by one `min`, a digit string crosses one
+`bytes.translate` table each way (characters "0".."9" to digits 0..9 and
+back), a complement in a base b <= 9 is one translate, and two words are
+ordered by one tuple comparison.  Only a digit above 9 takes the bracket
+form "[d,d,...]", read and printed one number at a time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
+from math import gcd
 
 
 class ParseError(ValueError):
@@ -21,10 +28,19 @@ LT, EQ, GT = -1, 0, 1
 
 
 def word(digits) -> tuple:
-    w = tuple(int(d) for d in digits)
-    if any(d < 0 for d in w):
+    """The digits (integers) as a Word."""
+    w = tuple(digits)
+    if w and min(w) < 0:
         raise ValueError("digits must be nonnegative")
     return w
+
+
+# digit d <-> character "0" + d, for 0 <= d <= 9
+_FROM_TEXT = bytes.maketrans(b"0123456789", bytes(range(10)))
+_TO_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
+# _COMPLEMENT[b] maps each digit d <= b to b - d
+_COMPLEMENT = [bytes.maketrans(bytes(range(b + 1)), bytes(range(b, -1, -1)))
+               for b in range(10)]
 
 
 def _primitive(per: tuple) -> tuple:
@@ -93,8 +109,11 @@ def shift(s: EPSequence, j: int) -> EPSequence:
 
 
 def complement_word(w: tuple, b: int) -> tuple:
-    if any(d > b for d in w):
+    """Digitwise b - digit of the Word w."""
+    if w and max(w) > b:
         raise ValueError("digit exceeds the complement base %d" % b)
+    if b <= 9:
+        return tuple(bytes(w).translate(_COMPLEMENT[b]))
     return tuple(b - d for d in w)
 
 
@@ -105,16 +124,17 @@ def complement(s: EPSequence, b: int) -> EPSequence:
 
 
 def lex_compare(a: EPSequence, b: EPSequence) -> int:
-    """Exact lexicographic comparison of two eventually periodic sequences."""
-    if a == b:
-        return EQ
-    bound = max(len(a.preperiod), len(b.preperiod)) + lcm(len(a.period),
-                                                          len(b.period))
-    for i in range(1, bound + 1):
-        da, db = a.digit(i), b.digit(i)
-        if da != db:
-            return LT if da < db else GT
-    return EQ
+    """Exact lexicographic comparison of two eventually periodic sequences.
+
+    After both preperiods, of lengths <= p, the two sequences are periodic
+    with periods r and r'; by the Fine-Wilf theorem, two such tails that
+    agree on r + r' - gcd(r, r') digits agree everywhere.  So the first
+    difference, if any, falls within n = p + r + r' - gcd(r, r') digits,
+    and the first n digits order the sequences as tuples do."""
+    r, r2 = len(a.period), len(b.period)
+    n = max(len(a.preperiod), len(b.preperiod)) + r + r2 - gcd(r, r2)
+    x, y = a.prefix(n), b.prefix(n)
+    return EQ if x == y else LT if x < y else GT
 
 
 # --- string grammar -------------------------------------------------------
@@ -133,8 +153,8 @@ def parse_word(text: str) -> tuple:
     if not _WORD_RE.match(text):
         raise ParseError("invalid word: %r" % text)
     if text.startswith("["):
-        return word(int(t) for t in text[1:-1].split(","))
-    return word(int(ch) for ch in text)
+        return tuple(int(t) for t in text[1:-1].split(","))
+    return tuple(text.encode().translate(_FROM_TEXT))
 
 
 def parse_sequence(text: str) -> EPSequence:
@@ -152,6 +172,8 @@ def parse_sequence(text: str) -> EPSequence:
 
 
 def format_word(w: tuple) -> str:
-    if all(d <= 9 for d in w):
-        return "".join(str(d) for d in w)
-    return "[" + ",".join(str(d) for d in w) + "]"
+    """The digit string of the Word w, or its bracket form if a digit
+    exceeds 9."""
+    if not w or max(w) <= 9:
+        return bytes(w).translate(_TO_TEXT).decode()
+    return "[" + ",".join(map(str, w)) + "]"

@@ -80,6 +80,10 @@ COMMANDS = README + [
     ["check", "[12,3]([3,12])", "--which", "univoque"],
     ["check", "([10,0,0,10])", "--which", "closure"],
     ["check", "[12,3]([3,12])", "--which", "greedy"],
+    ["check", "[11,0](1)", "--which", "greedy"],
+    # a rational base above 10: its digits print in brackets
+    ["expand", "23/2", "--depth", "12"],
+    ["oracle", "23/2", "--depth", "3"],
 ] + [
     # failing greedy checks: a digit above the first (witness at j = 1)
     # and a shift equal to the sequence

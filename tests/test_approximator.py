@@ -34,19 +34,23 @@ def test_construct_gamma_tribonacci_target():
     assert gamma.digit(11) == 0 < target.digit(11)
 
 
-def test_construct_gamma_invariant_raises_when_broken(monkeypatch):
-    """The prefix invariant is an explicit check, kept under python -O."""
+@pytest.mark.parametrize("i", range(1, 11))
+def test_construct_gamma_invariant_raises_when_broken(monkeypatch, i):
+    """The prefix invariant is an explicit check, kept under python -O: a
+    gamma with its digit i flipped, for each i <= m + kN = 10 (in the
+    repeated blocks or in the m-block), fails it and the error names i."""
+    s, k, m = approximator._target((1, 1, 0))
     real = approximator.ep_sequence
 
     def corrupted(pre, per):
-        # flip the last digit of the repeated blocks of gamma
-        if pre:
-            pre = tuple(pre[:-1]) + (1 - pre[-1],)
-        return real(pre, per)
+        w = list(pre + per)
+        w[i - 1] = 1 - w[i - 1]
+        return real(w[:len(pre)], w[len(pre):])
 
     monkeypatch.setattr(approximator, "ep_sequence", corrupted)
-    with pytest.raises(RuntimeError, match="digit 6 of the first m \\+ kN"):
-        construct_gamma((1, 1, 0), 2)
+    with pytest.raises(RuntimeError,
+                       match="digit %d of the first m \\+ kN = 10$" % i):
+        approximator._gamma(s, k, m, 2)
 
 
 def test_construct_gamma_n_too_small():

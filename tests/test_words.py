@@ -1,14 +1,15 @@
 """Canonical eventually periodic sequences and lexicographic comparison."""
 
+import re
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from univoque.words import (EPSequence, LT, EQ, GT, ParseError, _primitive,
                             complement, complement_word, ep_sequence,
                             format_word, lex_compare,
-                            parse_sequence, parse_word, shift)
+                            parse_sequence, parse_word, shift, word)
 
 
 def test_canonicalize_examples():
@@ -76,6 +77,12 @@ digits = st.integers(min_value=0, max_value=3)
 words_nonempty = st.lists(digits, min_size=1, max_size=6).map(tuple)
 words_any = st.lists(digits, min_size=0, max_size=6).map(tuple)
 sequences = st.builds(ep_sequence, words_any, words_nonempty)
+wide_digits = st.integers(min_value=0, max_value=12)
+wide_words = st.lists(wide_digits, max_size=12).map(tuple)
+wide_sequences = st.one_of(
+    st.builds(ep_sequence, wide_words, wide_words.filter(bool)),
+    # raw pairs: a period that is not primitive, a preperiod not shortest
+    st.builds(EPSequence, wide_words, wide_words.filter(bool)))
 
 
 @given(words_any, words_nonempty)
@@ -98,8 +105,11 @@ def test_complement_involution(w, s, b):
     assert complement(complement(s, b), b) == s
 
 
-@given(sequences, sequences)
-@settings(max_examples=200)
+@given(wide_sequences, wide_sequences)
+@settings(max_examples=300)
+# periods 2 and 3 that agree on 2 + 3 - 1 - 1 digits, then differ
+@example(ep_sequence((), (0, 1)), ep_sequence((), (0, 1, 0)))
+@example(EPSequence((), (1, 1)), EPSequence((1,), (1,)))
 def test_lex_compare_matches_naive_digit_scan(a, b):
     bound = 10 * (max(len(a.preperiod), len(b.preperiod))
                   + lcm(len(a.period), len(b.period)))
@@ -137,3 +147,85 @@ def test_canonical_form_matches_the_pop_and_rotate_reference(head, per, i,
     # the preperiod ends in a suffix of the period and whole copies of it
     pre = head + per[len(per) - i % (len(per) + 1):] + per * copies
     assert ep_sequence(pre, per) == _ep_sequence_ref(pre, per)
+
+
+# --- the per-digit reference ----------------------------------------------
+#
+# Each whole-word operation of `words` is one C-level call; these are the
+# per-digit loops they replaced, kept as the reference they must agree with
+# (`lex_compare`'s is the digit scan of its test above).
+
+_WORD_RE_REF = re.compile(r"^(?:[0-9]*|\[\s*\d+(?:\s*,\s*\d+)*\s*\])$")
+
+
+def _word_ref(digits):
+    w = tuple(int(d) for d in digits)
+    if any(d < 0 for d in w):
+        raise ValueError("digits must be nonnegative")
+    return w
+
+
+def _parse_word_ref(text):
+    text = text.strip()
+    if not _WORD_RE_REF.match(text):
+        raise ParseError("invalid word: %r" % text)
+    if text.startswith("["):
+        return _word_ref(int(t) for t in text[1:-1].split(","))
+    return _word_ref(int(ch) for ch in text)
+
+
+def _format_word_ref(w):
+    if all(d <= 9 for d in w):
+        return "".join(str(d) for d in w)
+    return "[" + ",".join(str(d) for d in w) + "]"
+
+
+def _complement_word_ref(w, b):
+    if any(d > b for d in w):
+        raise ValueError("digit exceeds the complement base %d" % b)
+    return tuple(b - d for d in w)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+digit_strings = st.text(alphabet="0123456789", max_size=40)
+bracket_words = st.builds(
+    lambda ds, seps, pad: "[" + pad + "".join(
+        str(d) + sep for d, sep in zip(ds, seps))[:-1] + pad + "]",
+    st.lists(wide_digits, min_size=1, max_size=8),
+    st.lists(st.sampled_from([",", ", ", " ,", " , "]), min_size=8,
+             max_size=8),
+    st.sampled_from(["", " "]))
+texts = st.one_of(digit_strings, bracket_words,
+                  st.text(alphabet="0123456789[], ()-a\n", max_size=12),
+                  st.text(max_size=8))
+
+
+@given(texts)
+@settings(max_examples=300)
+def test_parse_word_matches_the_per_digit_reference(text):
+    assert _outcome(parse_word, text) == _outcome(_parse_word_ref, text)
+
+
+@given(wide_words)
+def test_format_word_matches_the_per_digit_reference(w):
+    assert format_word(w) == _format_word_ref(w)
+    assert parse_word(format_word(w)) == w
+
+
+@given(st.lists(st.integers(-3, 12), max_size=12))
+def test_word_matches_the_per_digit_reference(digits):
+    assert _outcome(word, digits) == _outcome(_word_ref, digits)
+    assert _outcome(word, tuple(digits)) == _outcome(_word_ref, digits)
+
+
+@given(wide_words, st.integers(0, 12))
+def test_complement_word_matches_the_per_digit_reference(w, b):
+    assert _outcome(complement_word, w, b) == \
+        _outcome(_complement_word_ref, w, b)
