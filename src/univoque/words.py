@@ -8,9 +8,8 @@ of the represented infinite sequences.
 Each whole-word operation is one call into C, never a loop over digits in
 Python: a word is validated by one `min`, a digit string crosses one
 `bytes.translate` table each way (characters "0".."9" to digits 0..9 and
-back), a complement in a base b <= 9 is one translate, and two words are
-ordered by one tuple comparison.  Only a digit above 9 takes the bracket
-form "[d,d,...]", read and printed one number at a time.
+back), and a complement is one `map`.  Only a digit above 9 takes the
+bracket form "[d,d,...]", read and printed one number at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +27,13 @@ LT, EQ, GT = -1, 0, 1
 
 
 def word(digits) -> tuple:
-    """The digits (integers) as a Word."""
+    """The digits as a Word.
+
+    The digits must be ints: they are not converted, and the one `min`
+    check refuses only a negative digit.  Other digit types are not
+    supported (`ep_sequence("110", "1")` raises TypeError).  `format_word`
+    needs the same nonnegative ints, which a raw EPSequence built without
+    this check need not have."""
     w = tuple(digits)
     if w and min(w) < 0:
         raise ValueError("digits must be nonnegative")
@@ -38,9 +43,6 @@ def word(digits) -> tuple:
 # digit d <-> character "0" + d, for 0 <= d <= 9
 _FROM_TEXT = bytes.maketrans(b"0123456789", bytes(range(10)))
 _TO_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
-# _COMPLEMENT[b] maps each digit d <= b to b - d
-_COMPLEMENT = [bytes.maketrans(bytes(range(b + 1)), bytes(range(b, -1, -1)))
-               for b in range(10)]
 
 
 def _primitive(per: tuple) -> tuple:
@@ -112,9 +114,7 @@ def complement_word(w: tuple, b: int) -> tuple:
     """Digitwise b - digit of the Word w."""
     if w and max(w) > b:
         raise ValueError("digit exceeds the complement base %d" % b)
-    if b <= 9:
-        return tuple(bytes(w).translate(_COMPLEMENT[b]))
-    return tuple(b - d for d in w)
+    return tuple(map(b.__sub__, w))
 
 
 def complement(s: EPSequence, b: int) -> EPSequence:

@@ -229,3 +229,13 @@ def test_word_matches_the_per_digit_reference(digits):
 def test_complement_word_matches_the_per_digit_reference(w, b):
     assert _outcome(complement_word, w, b) == \
         _outcome(_complement_word_ref, w, b)
+
+
+def test_digits_must_be_ints():
+    # `word` does not convert its digits: `_word_ref`'s per-digit `int()`
+    # reads ("110", "1") as (1, 1, 0)(1), `word` refuses it
+    with pytest.raises(TypeError):
+        ep_sequence("110", "1")
+    # a raw EPSequence skips `word`'s check, and printing needs it
+    with pytest.raises(ValueError):
+        str(EPSequence((1, -1), (0,)))
